@@ -102,9 +102,16 @@ impl HwUfsController {
     /// integrating a whole phase remainder — switches to a closed form: the
     /// boundary count comes from one division, and the slew is applied at
     /// most `ratio span / step` times since it saturates at the target.
-    pub fn advance(&mut self, mut dt: f64, input: &HwUfsInput, min_ratio: u8, max_ratio: u8) -> u8 {
-        self.clamp_to_limits(min_ratio, max_ratio);
+    pub fn advance(&mut self, dt: f64, input: &HwUfsInput, min_ratio: u8, max_ratio: u8) -> u8 {
         let target = self.target_ratio(input, min_ratio, max_ratio);
+        self.advance_to(dt, target, min_ratio, max_ratio)
+    }
+
+    /// [`HwUfsController::advance`] with the control target already
+    /// evaluated: the target depends only on the sampled inputs and the
+    /// limits, so a caller whose inputs have not changed can reuse it.
+    pub fn advance_to(&mut self, mut dt: f64, target: u8, min_ratio: u8, max_ratio: u8) -> u8 {
+        self.clamp_to_limits(min_ratio, max_ratio);
         let period = self.params.period_s;
         if dt >= self.until_next + 4.0 * period {
             // Closed form. Boundaries crossed: one at `until_next`, then one

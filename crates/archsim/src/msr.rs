@@ -158,11 +158,13 @@ const REG_COUNT: usize = 16 + 2 * (MAX_UNCORE_DOMAINS - 1);
 
 /// Maps an MSR address to its dense storage slot. The register set is fixed
 /// (a match compiles to a jump table plus one range test), replacing the
-/// former `HashMap` — the register file sits on the per-quantum hot path of
-/// `Node::advance_interval`, where hashing each address cost more than the
-/// modelled work. TPMI domain-0 registers decode to the SAME slots as the
-/// legacy 0x620/0x621 pair, which is what makes the alias exact: there is
-/// only one storage cell, not a mirrored copy.
+/// former `HashMap`, whose hashing cost more than the modelled work while
+/// the register file sat on the per-quantum path. The node now touches it
+/// once per `run_phase`/`run_idle` call: it reads EPB and the ratio limits
+/// when it plans the call and publishes the status and counter registers
+/// when the call returns. TPMI domain-0 registers decode to the SAME slots
+/// as the legacy 0x620/0x621 pair, which is what makes the alias exact:
+/// there is only one storage cell, not a mirrored copy.
 const fn slot(msr: u32) -> Option<usize> {
     match msr {
         addr::IA32_MPERF => Some(0),

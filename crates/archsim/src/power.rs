@@ -71,11 +71,13 @@ pub fn pkg_power(p: &PowerParams, s: &SocketPowerInput) -> f64 {
     p.pkg_static_w + core_power(p, s) + uncore_power(p, s.f_uncore_ghz, s.mem_util)
 }
 
-/// Package power with the uncore term supplied by the caller — used by the
-/// node when it has already summed [`uncore_domain_power`] over domains.
-/// Addition order matches [`pkg_power`] exactly.
-pub fn pkg_power_with_uncore(p: &PowerParams, s: &SocketPowerInput, uncore_w: f64) -> f64 {
-    p.pkg_static_w + core_power(p, s) + uncore_w
+/// Package power without its uncore term: `pkg_static_w + P_core`. The
+/// node adds the uncore power it has summed over domains with
+/// [`uncore_domain_power`]; `pkg_base_power(..) + uncore_w` associates
+/// exactly like [`pkg_power`]. `s.f_uncore_ghz` and `s.mem_util` are
+/// not read.
+pub fn pkg_base_power(p: &PowerParams, s: &SocketPowerInput) -> f64 {
+    p.pkg_static_w + core_power(p, s)
 }
 
 /// DRAM power of the node (W) for a given achieved traffic.
@@ -195,7 +197,7 @@ mod tests {
         }
         let s = socket(2.4, 2.4, 0.3);
         let unc = uncore_domain_power(&p, 1, s.f_uncore_ghz, s.mem_util);
-        assert_eq!(pkg_power(&p, &s), pkg_power_with_uncore(&p, &s, 0.0 + unc));
+        assert_eq!(pkg_power(&p, &s), pkg_base_power(&p, &s) + (0.0 + unc));
     }
 
     #[test]

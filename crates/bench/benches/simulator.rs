@@ -80,7 +80,7 @@ fn bench_snapshot(c: &mut Criterion) {
 }
 
 /// Quantum fast-forward vs plain 10 ms stepping on a settled spin phase.
-/// Stepping walks ~100 `advance_interval` quanta per simulated second;
+/// Stepping walks ~100 10 ms quanta per simulated second;
 /// fast-forward integrates the settled remainder in one step.
 fn bench_fast_forward(c: &mut Criterion) {
     let mut g = c.benchmark_group("simulator/fast_forward");

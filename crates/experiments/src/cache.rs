@@ -4,11 +4,13 @@
 //! targets, the same policy configuration, the same seeds. Like a build
 //! system, the engine therefore caches each cell's averaged [`RunResult`]
 //! on disk, keyed by a digest of **everything that determines the
-//! result** — workload characterisation (which fixes the node config),
-//! cell label, run configuration (policy name, thresholds, fixed
-//! frequencies), the effective energy model, run count, base seed, the
-//! seed-salting mode, and the store schema version. A warm `earsim all`
-//! re-emits byte-identical tables without simulating a single phase.
+//! result** — the code that computes it ([`SOURCE_FINGERPRINT`]),
+//! workload characterisation (which fixes the node config), cell label,
+//! run configuration (policy name, thresholds, fixed frequencies), the
+//! effective energy model, run count, base seed, the seed-salting mode,
+//! and the store schema version. A warm `earsim all` re-emits
+//! byte-identical tables without simulating a single phase, and a store
+//! filled by a different build of the simulator or policies misses.
 //!
 //! Design points:
 //!
@@ -27,6 +29,7 @@
 //! - **No dependencies.** Hand-rolled FNV-1a keys and line-based entry
 //!   files; `std::fs` only, atomic publish via temp file + rename.
 
+use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::harness::{RunKind, RunResult};
 use ear_errors::EarError;
 use ear_workloads::WorkloadTargets;
@@ -36,7 +39,16 @@ use std::sync::{Mutex, PoisonError};
 
 /// Store schema: the entry file layout **and** the key derivation. Bump on
 /// any change to either; the version check wipes stale stores wholesale.
+/// (Folding in [`SOURCE_FINGERPRINT`] needed no bump: every key it
+/// produces hashes a `|code|` field no earlier key has, so entries from
+/// before it can only miss.)
 pub const CACHE_SCHEMA: &str = "earsim-result-cache/v2";
+
+/// FNV-1a digest of the sources that produce a cell's numbers: the
+/// `src` trees of archsim, core, dynais, mpisim, workloads and this crate,
+/// hashed by `build.rs` with the same hasher as the keys. Folded into
+/// every key, so editing any of that code turns a warm store cold.
+pub const SOURCE_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/source_fingerprint.rs"));
 
 /// Where results are cached unless `EAR_CACHE_DIR` overrides it.
 pub const DEFAULT_CACHE_DIR: &str = "target/earsim-cache";
@@ -112,20 +124,12 @@ fn prepare_store(dir: &Path) -> Result<(), EarError> {
     Ok(())
 }
 
-fn fnv1a(h: &mut u64, bytes: &[u8]) {
-    for &b in bytes {
-        *h ^= b as u64;
-        *h = h.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Digest of everything that determines a cell's averaged result. The
-/// workload targets fix the calibrated node config and the synthesised
-/// job; the [`RunKind`] debug rendering covers the policy name and every
-/// threshold/setting; the model override changes every EARL instance; and
-/// the seed inputs (`runs`, `base_seed`, salt mode and cell salt) fix the
-/// noise streams.
-#[allow(clippy::too_many_arguments)]
+/// source fingerprint pins the code; the workload targets fix the
+/// calibrated node config and the synthesised job; the [`RunKind`] debug
+/// rendering covers the policy name and every threshold/setting; the
+/// model override changes every EARL instance; and the seed inputs
+/// (`runs`, `base_seed`, salt mode and cell salt) fix the noise streams.
 pub fn result_key(
     targets: &WorkloadTargets,
     label: &str,
@@ -135,8 +139,34 @@ pub fn result_key(
     base_seed: u64,
     salt: u64,
 ) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    key_for_code(
+        SOURCE_FINGERPRINT,
+        targets,
+        label,
+        kind,
+        model,
+        runs,
+        base_seed,
+        salt,
+    )
+}
+
+/// [`result_key`] for the code with fingerprint `code`.
+#[allow(clippy::too_many_arguments)]
+fn key_for_code(
+    code: u64,
+    targets: &WorkloadTargets,
+    label: &str,
+    kind: &RunKind,
+    model: Option<&str>,
+    runs: usize,
+    base_seed: u64,
+    salt: u64,
+) -> u64 {
+    let mut h = FNV_OFFSET;
     fnv1a(&mut h, CACHE_SCHEMA.as_bytes());
+    fnv1a(&mut h, b"|code|");
+    fnv1a(&mut h, &code.to_le_bytes());
     fnv1a(&mut h, b"|targets|");
     fnv1a(&mut h, format!("{targets:?}").as_bytes());
     fnv1a(&mut h, b"|label|");
@@ -376,6 +406,35 @@ mod tests {
             result_key(&t, "a", &me, None, 3, 1, 4),
             "cell salt must key"
         );
+    }
+
+    /// The stale-cache regression: an entry stored by one build of the
+    /// simulator must miss for a build with different sources, even when
+    /// every other input is identical.
+    #[test]
+    fn changed_source_fingerprint_misses() {
+        let t = ear_workloads::by_name("BQCD").expect("known workload");
+        let me = RunKind::me(0.1);
+        let key = |code: u64| key_for_code(code, &t, "a", &me, None, 3, 1, 0);
+        assert_eq!(
+            key(SOURCE_FINGERPRINT),
+            result_key(&t, "a", &me, None, 3, 1, 0)
+        );
+        let old_code = SOURCE_FINGERPRINT ^ 1;
+        assert_ne!(key(old_code), key(SOURCE_FINGERPRINT), "code must key");
+
+        // A lookup reads the entry file named by the key: the new build
+        // looks for another file, and even an entry copied under the new
+        // name is rejected, because each entry records the key it was
+        // stored under.
+        let dir = Path::new("store");
+        assert_ne!(
+            entry_path(dir, key(old_code)),
+            entry_path(dir, key(SOURCE_FINGERPRINT))
+        );
+        let old_entry = render_entry(key(old_code), &sample_result("a"));
+        assert!(parse_entry(key(old_code), &old_entry).is_ok());
+        assert!(parse_entry(key(SOURCE_FINGERPRINT), &old_entry).is_err());
     }
 
     /// Regression for the v2 schema: the key digests the *whole* targets

@@ -25,6 +25,7 @@ pub mod chart;
 pub mod csv;
 pub mod engine;
 pub mod figures;
+mod fnv;
 pub mod future_work;
 pub mod harness;
 pub mod powercap;

@@ -160,7 +160,7 @@ fn pstate_floor(t: &WorkloadTargets) -> f64 {
 /// throttle at every binding cap. `advantage` is the pstate-only runtime
 /// over the dual-knob runtime — above 1.00x the second knob bought
 /// throughput at the same cap. Where the cap sits below the pstate
-/// actuator's floor ([`pstate_floor`]) the baseline cannot meet it at
+/// actuator's floor (`pstate_floor`) the baseline cannot meet it at
 /// any operating point — its raw runtime is bought with watts the cap
 /// forbids — so the cell reads `dual only`: that stretch of the
 /// frontier exists solely because of the second knob.
