@@ -1,13 +1,12 @@
 //! Dependency-free micro-benchmarks of the simulation hot path.
 //!
-//! The criterion suites under `crates/bench` give statistically rigorous
-//! numbers but need a registry download; this module is the zero-dependency
-//! trajectory the CI smoke job runs everywhere. It times the structures the
-//! per-event hot path touches — DynAIS sampling (incremental vs the
-//! reference eager detector), window indexing, counter snapshots, quantum
-//! fast-forward, the trace bus dark vs live — plus the Table I wall clock,
-//! and renders the results as
-//! both a human-readable table and the `BENCH_hotpath.json` artifact.
+//! The zero-dependency suite behind `earsim bench`, which the CI smoke job
+//! runs everywhere. It times the structures the per-event hot path
+//! touches — DynAIS sampling (incremental vs the reference eager
+//! detector), window indexing, counter snapshots, quantum fast-forward,
+//! the trace bus dark vs live — plus the Table I wall clock, and renders
+//! the results as both a human-readable table and the
+//! `BENCH_hotpath.json` artifact.
 //!
 //! Timing uses best-of-N `std::time::Instant` wall clock: the minimum over
 //! repetitions is the least noisy estimator for short deterministic loops.
@@ -829,19 +828,13 @@ fn bench_eargm_tree_fanout(quick: bool) -> BenchEntry {
     }
 }
 
-/// The sweep engine's structured grid path vs the naive per-cell loop it
-/// replaced, on one small (pstate × uncore) grid. `reference` runs every
-/// cell as its own engine invocation — the job re-synthesised per cell,
-/// the grid never spreading across the pool; `optimized` is the shipped
-/// [`crate::sweep::sweep_app`] fast path: one matrix over the whole grid,
+/// Wall time of one small (pstate × uncore) grid through the shipped
+/// [`crate::sweep::sweep_app`]: one engine matrix over the whole grid,
 /// one uncore row claimed per queue operation, cells scheduled in
-/// result-cache key order. Both paths are first asserted to render
-/// bit-identical artifacts (legacy seeds), then raced on the same grid.
-/// The persistent result cache is off during `bench`, so both sides
-/// simulate every cell: the measured gap is scheduling and setup, not
-/// cache hits.
+/// result-cache key order. No in-process reference. The persistent
+/// result cache is off during `bench`, so every cell is simulated.
 fn bench_sweep_grid_wall(quick: bool) -> BenchEntry {
-    use crate::sweep::{render_artifact, sweep_app, SweepConfig};
+    use crate::sweep::{sweep_app, SweepConfig};
     use ear_workloads::sweep::SweepSpec;
 
     let targets = ear_workloads::by_name("BT-MZ.C (OpenMP)")
@@ -850,58 +843,28 @@ fn bench_sweep_grid_wall(quick: bool) -> BenchEntry {
         cpu_pstates: vec![1, 4, 7],
         imc_ratios: vec![24, 20, 16, 12],
     };
-    let structured_cfg = SweepConfig::default();
-    let naive_cfg = SweepConfig {
-        naive: true,
-        ..SweepConfig::default()
-    };
+    let config = SweepConfig::default();
 
-    // The race runs a shortened variant of the workload: same per-iteration
-    // physics (time and iteration count scaled together), fewer iterations.
-    // The row measures the orchestration cost the structured path amortises
-    // — per-invocation job synthesis, pool setup, bookkeeping — so the
-    // per-cell simulation body is kept short relative to it, as `--quick`
+    // A shortened variant of the workload: same per-iteration physics
+    // (time and iteration count scaled together), fewer iterations, so the
+    // row weighs the sweep's orchestration — job synthesis, pool setup,
+    // bookkeeping — against a short per-cell simulation body, as `--quick`
     // modes do throughout this module.
     let mut short = targets.clone();
     short.iterations = 8;
     short.time_s = targets.time_s * short.iterations as f64 / targets.iterations as f64;
 
-    // Warm the calibration cache and check the determinism contract before
-    // anything is timed: both paths must produce byte-identical artifacts
-    // on the grid about to be raced.
-    let a = must(
-        sweep_app(&short, &spec, &structured_cfg),
-        "structured sweep",
-    );
-    let b = must(sweep_app(&short, &spec, &naive_cfg), "naive sweep");
-    assert_eq!(
-        render_artifact(&a),
-        render_artifact(&b),
-        "structured sweep diverged from the naive per-cell loop"
-    );
-
-    // Interleave the repetitions — naive then structured, back to back —
-    // so ambient machine-speed drift (frequency scaling, a noisy
-    // neighbour) hits both sides alike, and take each side's minimum.
-    let reps = if quick { 6 } else { 10 };
-    let (mut t_ref, mut t_opt) = (f64::INFINITY, f64::INFINITY);
-    for _ in 0..reps {
-        let t0 = Instant::now();
-        black_box(must(sweep_app(&short, &spec, &naive_cfg), "naive sweep"));
-        t_ref = t_ref.min(t0.elapsed().as_secs_f64());
-        let t0 = Instant::now();
-        black_box(must(
-            sweep_app(&short, &spec, &structured_cfg),
-            "structured sweep",
-        ));
-        t_opt = t_opt.min(t0.elapsed().as_secs_f64());
-    }
+    // Warm the calibration cache before anything is timed.
+    black_box(must(sweep_app(&short, &spec, &config), "sweep"));
+    let t = best_secs(if quick { 6 } else { 10 }, || {
+        black_box(must(sweep_app(&short, &spec, &config), "sweep"));
+    });
 
     BenchEntry {
         name: "sweep_grid_wall",
         unit: "ms/grid",
-        reference: Some(t_ref * 1e3),
-        optimized: t_opt * 1e3,
+        reference: None,
+        optimized: t * 1e3,
     }
 }
 
@@ -1031,139 +994,50 @@ fn bench_fitted_policy_decide(quick: bool) -> BenchEntry {
     }
 }
 
-/// Per-quantum cost of the RAPL PL1 enforcement step. `optimized`
-/// reproduces the shipped limiter shape (`ear_archsim::Node`): one
-/// exponential running-average update — O(1) per quantum regardless of
-/// the programmed averaging window — plus the threshold/hysteresis
-/// compare. `reference` is the naive sliding-window limiter it displaced:
-/// retain every sample inside the window in a ring and re-sum it each
-/// quantum, O(window/quantum). Both are local structs so codegen
-/// conditions are identical, and the window length goes through
-/// `black_box`: in production it is decoded from `MSR_PKG_POWER_LIMIT` at
-/// runtime, so nothing about it is a compile-time constant. Before
-/// anything is timed the real archsim path is checked end to end: a
-/// binding PL1 programmed through the MSR write path must record
-/// throttle events on a live node.
+/// Host cost of one simulated second on a node with a binding RAPL PL1
+/// armed: the shipped limiter in [`ear_archsim::Node`] updates its window
+/// estimate and throttle every quantum, and fast-forward stays off. No
+/// in-process reference: armed vs disarmed is a tax, not a race. Before
+/// anything is timed, the limit is programmed through the MSR write path
+/// and must record throttle events on the live node.
 fn bench_rapl_enforce_step(quick: bool) -> BenchEntry {
-    // Sanity: the shipped limiter engages through the real write path.
-    {
-        let before = ear_archsim::stats::rapl_throttle_events();
-        let mut node = Node::new(NodeConfig::sd530_6148(), 11);
-        // Sized to run multiple averaging windows (~1.7 s at nominal), so
-        // the window estimate genuinely climbs through the 100 W limit —
-        // well below this phase's ~119 W per-socket draw.
-        must(node.set_rapl_limit_w(100.0, 0.5), "program PL1");
-        let demand = PhaseDemand {
-            instructions: 4e11,
-            mem_bytes: 40e9,
-            cpi_core: 0.38,
-            uncore_lat_cycles: 4.0,
-            mem_overlap: 0.6,
-            active_cores: 40,
-            ..Default::default()
-        };
-        node.run_phase(&demand);
-        assert!(
-            ear_archsim::stats::rapl_throttle_events() > before,
-            "binding PL1 recorded no throttle steps"
-        );
-    }
-
-    // Both limiters see the same square-wave power trace straddling the
-    // limit, so each throttles on the high plateau and relaxes on the low.
-    const LIFT: f64 = 0.97;
-    const MAX_THROTTLE: u32 = 10;
-    let limit_w = 150.0;
-    let quantum_s: f64 = black_box(0.01);
-    let window_s: f64 = black_box(1.0);
-    let samples: Vec<f64> = (0..1024)
-        .map(|i| {
-            let plateau = if (i / 64) % 2 == 0 { 190.0 } else { 110.0 };
-            plateau + (i % 7) as f64
-        })
-        .collect();
-
-    struct Ewma {
-        avg: f64,
-        alpha: f64,
-        limit: f64,
-        throttle: u32,
-    }
-    impl Ewma {
-        fn step(&mut self, p: f64) -> u32 {
-            self.avg += self.alpha * (p - self.avg);
-            if self.avg > self.limit {
-                self.throttle = (self.throttle + 1).min(MAX_THROTTLE);
-            } else if self.avg < self.limit * LIFT && self.throttle > 0 {
-                self.throttle -= 1;
-            }
-            self.throttle
-        }
-    }
-    struct Sliding {
-        buf: std::collections::VecDeque<f64>,
-        cap: usize,
-        limit: f64,
-        throttle: u32,
-    }
-    impl Sliding {
-        fn step(&mut self, p: f64) -> u32 {
-            if self.buf.len() == self.cap {
-                self.buf.pop_front();
-            }
-            self.buf.push_back(p);
-            let avg = self.buf.iter().sum::<f64>() / self.buf.len() as f64;
-            if avg > self.limit {
-                self.throttle = (self.throttle + 1).min(MAX_THROTTLE);
-            } else if avg < self.limit * LIFT && self.throttle > 0 {
-                self.throttle -= 1;
-            }
-            self.throttle
-        }
-    }
-
-    let cap = (window_s / quantum_s) as usize;
-    let mut sld = Sliding {
-        buf: std::collections::VecDeque::with_capacity(cap),
-        cap,
-        limit: limit_w,
-        throttle: 0,
+    let mut node = Node::new(NodeConfig::sd530_6148(), 11);
+    // Sized to run multiple averaging windows (~1.7 s at nominal), so
+    // the window estimate genuinely climbs through the 100 W limit —
+    // well below this phase's ~119 W per-socket draw.
+    must(node.set_rapl_limit_w(100.0, 0.5), "program PL1");
+    let demand = PhaseDemand {
+        instructions: 4e11,
+        mem_bytes: 40e9,
+        cpi_core: 0.38,
+        uncore_lat_cycles: 4.0,
+        mem_overlap: 0.6,
+        active_cores: 40,
+        ..Default::default()
     };
-    let mut ew = Ewma {
-        avg: 0.0,
-        alpha: (quantum_s / window_s).min(1.0),
-        limit: limit_w,
-        throttle: 0,
-    };
-    // Warm-up over the trace; both limiters must actually engage on it.
-    let mut engaged = (0u32, 0u32);
-    for s in &samples {
-        engaged.0 = engaged.0.max(sld.step(*s));
-        engaged.1 = engaged.1.max(ew.step(*s));
-    }
+    let before = ear_archsim::stats::rapl_throttle_events();
+    node.run_phase(&demand);
     assert!(
-        engaged.0 > 0 && engaged.1 > 0,
-        "trace never tripped a limiter: {engaged:?}"
+        ear_archsim::stats::rapl_throttle_events() > before,
+        "binding PL1 recorded no throttle steps"
     );
 
-    let n = if quick { 100_000 } else { 2_000_000 };
-    let n_ref = n / 10; // O(window) per step; keep runtime bounded
-    let t_ref = best_secs(3, || {
-        for i in 0..n_ref {
-            black_box(sld.step(black_box(samples[i & 1023])));
+    let n = if quick { 100 } else { 1_000 };
+    let mut best = f64::INFINITY;
+    for _ in 0..3 {
+        let mut sim_s = 0.0;
+        let t = Instant::now();
+        for _ in 0..n {
+            sim_s += black_box(node.run_phase(&demand)).duration_s();
         }
-    }) / n_ref as f64;
-    let t_opt = best_secs(3, || {
-        for i in 0..n {
-            black_box(ew.step(black_box(samples[i & 1023])));
-        }
-    }) / n as f64;
+        best = best.min(t.elapsed().as_secs_f64() / sim_s);
+    }
 
     BenchEntry {
         name: "rapl_enforce_step",
-        unit: "ns/quantum",
-        reference: Some(t_ref * 1e9),
-        optimized: t_opt * 1e9,
+        unit: "us/simsec",
+        reference: None,
+        optimized: best * 1e6,
     }
 }
 
@@ -1939,7 +1813,14 @@ mod tests {
                     name,
                     unit: "ns/op",
                     // The rows that really ship without a reference.
-                    reference: if matches!(*name, "table1_wall" | "mpi_break_even") {
+                    reference: if matches!(
+                        *name,
+                        "table1_wall"
+                            | "mpi_break_even"
+                            | "frame_codec_roundtrip"
+                            | "sweep_grid_wall"
+                            | "rapl_enforce_step"
+                    ) {
                         None
                     } else {
                         Some(50.0)
@@ -1987,11 +1868,11 @@ mod tests {
 
     #[test]
     fn speedup_gate_counts_the_gated_rows() {
-        // 19 required rows minus the 2 null references; the allowlist is
+        // 19 required rows minus the 5 null references; the allowlist is
         // empty, so every row with a reference is gated.
         assert_eq!(
             verify_speedups(&sample_json()),
-            Ok(REQUIRED_BENCHES.len() - 2)
+            Ok(REQUIRED_BENCHES.len() - 5)
         );
     }
 

@@ -24,8 +24,9 @@
 //! - **Corruption is a miss, never a failure.** Entry parsing is routed
 //!   through [`EarError`]; truncated, garbled or stale-schema files are
 //!   deleted, counted as invalidations, and the cell simply runs.
-//! - **Whole-store versioning.** A `VERSION` file pins the schema; any
-//!   mismatch wipes every entry (the key layout itself may have changed).
+//! - **Whole-store versioning.** A `VERSION` file pins the schema and the
+//!   source fingerprint; any mismatch wipes every entry (the key layout
+//!   may have changed, and entries keyed on other code can never hit).
 //! - **No dependencies.** Hand-rolled FNV-1a keys and line-based entry
 //!   files; `std::fs` only, atomic publish via temp file + rename.
 
@@ -47,7 +48,11 @@ pub const CACHE_SCHEMA: &str = "earsim-result-cache/v2";
 /// FNV-1a digest of the sources that produce a cell's numbers: the
 /// `src` trees of archsim, core, dynais, mpisim, workloads and this crate,
 /// hashed by `build.rs` with the same hasher as the keys. Folded into
-/// every key, so editing any of that code turns a warm store cold.
+/// every key, so editing any of that code turns a warm store cold, and
+/// into the `VERSION` stamp, so the first process built from the edited
+/// code wipes the entries the old code left behind. The key still carries
+/// it because two builds can share one store: the key is what stops
+/// either from serving the other's entries.
 pub const SOURCE_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/source_fingerprint.rs"));
 
 /// Where results are cached unless `EAR_CACHE_DIR` overrides it.
@@ -72,10 +77,20 @@ pub fn default_cache_dir() -> PathBuf {
     }
 }
 
+/// The `VERSION` stamp of a store written by this code:
+/// [`CACHE_SCHEMA`] and [`SOURCE_FINGERPRINT`].
+pub fn version_stamp() -> String {
+    stamp_for_code(SOURCE_FINGERPRINT)
+}
+
+fn stamp_for_code(code: u64) -> String {
+    format!("{CACHE_SCHEMA} code={code:#018x}")
+}
+
 /// Enables (`Some(dir)`) or disables (`None`) the persistent result
 /// cache process-wide. Enabling prepares the store: the directory is
 /// created if missing and wiped if its `VERSION` file disagrees with
-/// [`CACHE_SCHEMA`] (counted as an invalidation). Preparation failures
+/// [`version_stamp`] (counted as an invalidation). Preparation failures
 /// (e.g. an unwritable path) disable the cache rather than erroring —
 /// caching is an optimisation, never a correctness dependency.
 pub fn set_result_cache(dir: Option<PathBuf>) {
@@ -98,13 +113,14 @@ pub fn result_cache_stats() -> (u64, u64, u64) {
     )
 }
 
-/// Creates the store directory and enforces the schema version: a missing
+/// Creates the store directory and enforces the version stamp: a missing
 /// or mismatching `VERSION` file clears every entry and rewrites it.
 fn prepare_store(dir: &Path) -> Result<(), EarError> {
     std::fs::create_dir_all(dir).map_err(|e| EarError::io(dir.display().to_string(), e))?;
     let version_path = dir.join("VERSION");
     let current = std::fs::read_to_string(&version_path).unwrap_or_default();
-    if current.trim() != CACHE_SCHEMA {
+    let stamp = version_stamp();
+    if current.trim() != stamp {
         let mut wiped = false;
         if let Ok(entries) = std::fs::read_dir(dir) {
             for entry in entries.flatten() {
@@ -118,7 +134,7 @@ fn prepare_store(dir: &Path) -> Result<(), EarError> {
         if wiped || !current.trim().is_empty() {
             INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
         }
-        std::fs::write(&version_path, format!("{CACHE_SCHEMA}\n"))
+        std::fs::write(&version_path, format!("{stamp}\n"))
             .map_err(|e| EarError::io(version_path.display().to_string(), e))?;
     }
     Ok(())
@@ -435,6 +451,44 @@ mod tests {
         let old_entry = render_entry(key(old_code), &sample_result("a"));
         assert!(parse_entry(key(old_code), &old_entry).is_ok());
         assert!(parse_entry(key(SOURCE_FINGERPRINT), &old_entry).is_err());
+    }
+
+    /// The orphaned-entry regression: a store last opened by other code
+    /// holds entries this code can never hit, so opening it empties it
+    /// and restamps it for this code.
+    #[test]
+    fn store_stamped_by_other_code_is_emptied_on_open() {
+        let t = ear_workloads::by_name("BQCD").expect("known workload");
+        let me = RunKind::me(0.1);
+        let key = |code: u64| key_for_code(code, &t, "a", &me, None, 3, 1, 0);
+        let put = |dir: &Path, key: u64| {
+            let path = entry_path(dir, key);
+            std::fs::write(&path, render_entry(key, &sample_result("a"))).expect("write entry");
+            path
+        };
+        let dir = std::env::temp_dir().join(format!("earsim-cache-stamp-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("create store");
+        let old_code = SOURCE_FINGERPRINT ^ 1;
+        assert_ne!(stamp_for_code(old_code), version_stamp());
+        std::fs::write(dir.join("VERSION"), stamp_for_code(old_code)).expect("stamp store");
+        let orphan = put(&dir, key(old_code));
+
+        let before = INVALIDATIONS.load(Ordering::Relaxed);
+        prepare_store(&dir).expect("prepare store");
+        assert!(!orphan.exists(), "entry keyed on other code survived");
+        assert!(INVALIDATIONS.load(Ordering::Relaxed) > before);
+        let version = std::fs::read_to_string(dir.join("VERSION")).expect("VERSION rewritten");
+        assert_eq!(version.trim(), version_stamp());
+
+        // Reopening with the same code keeps what this code stored.
+        let kept = put(&dir, key(SOURCE_FINGERPRINT));
+        prepare_store(&dir).expect("reopen store");
+        assert!(
+            kept.exists(),
+            "reopening with the same code wiped the store"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Regression for the v2 schema: the key digests the *whole* targets

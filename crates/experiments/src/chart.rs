@@ -1,7 +1,7 @@
 //! Terminal chart rendering for the figure regenerations.
 //!
-//! The paper presents Figs. 1 and 3–8 as bar/line charts; the binaries
-//! print the numeric series (for EXPERIMENTS.md) *and* a horizontal bar
+//! The paper presents Figs. 1 and 3–8 as bar/line charts; `earsim fig`
+//! prints the numeric series (for EXPERIMENTS.md) *and* a horizontal bar
 //! rendering so the visual shape — savings growing with thresholds, the
 //! energy-saving peak in the uncore sweep — is inspectable in a terminal.
 

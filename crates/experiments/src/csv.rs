@@ -1,6 +1,6 @@
 //! CSV export of experiment results, for external plotting.
 //!
-//! The figure binaries print tables and terminal charts; users who want
+//! `earsim fig` prints tables and terminal charts; users who want
 //! the paper's actual plots (matplotlib, gnuplot, pgfplots) need the raw
 //! series. These helpers serialise [`RunResult`]s and comparison series
 //! into plain CSV with a stable column order.

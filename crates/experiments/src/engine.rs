@@ -23,7 +23,7 @@
 //! - **Telemetry.** Per-task timing, per-cell wall time, and a
 //!   machine-readable engine summary (tasks run, wall time, speedup vs a
 //!   serial estimate, cache statistics), aggregated process-wide for the
-//!   `earsim` front end and the experiment binaries.
+//!   `earsim` front end.
 //!
 //! The worker-pool default is [`default_jobs`]: the `--jobs N` flag (via
 //! [`set_default_jobs`]), else the `EAR_JOBS` environment variable, else
@@ -916,7 +916,7 @@ pub fn process_summary_json() -> Option<String> {
 }
 
 /// Prints the process-wide engine summary to stderr (no-op if no engine
-/// work ran). Called by `earsim` and the experiment binaries on exit so
+/// work ran). Called by `earsim` on exit so
 /// stdout stays clean for the tables themselves.
 pub fn print_process_summary() {
     if let Some(json) = process_summary_json() {

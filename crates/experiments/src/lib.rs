@@ -1,9 +1,10 @@
 //! # ear-experiments — regeneration of every table and figure
 //!
-//! One function (and one binary) per table and figure of the paper's
-//! evaluation. The harness runs each (workload × configuration) cell three
-//! times — as the paper averages three real runs — and reports penalties
-//! and savings against the matching reference configuration.
+//! One function per table and figure of the paper's evaluation, printed
+//! by the `earsim` front end. The harness runs each (workload ×
+//! configuration) cell three times — as the paper averages three real
+//! runs — and reports penalties and savings against the matching
+//! reference configuration.
 //!
 //! Execution goes through the [`engine`]: a dependency-free bounded worker
 //! pool scheduling at (cell × run) granularity, with a process-wide
@@ -14,8 +15,8 @@
 //! the `EAR_JOBS` environment variable, or the machine's available
 //! parallelism.
 //!
-//! Binaries: `table1` … `table7`, `fig1`, `fig3` … `fig8`, and `run_all`
-//! (prints everything, in paper order).
+//! Front end: `earsim table N`, `earsim fig N`, and `earsim all` (prints
+//! everything, in paper order).
 
 #![warn(missing_docs)]
 
@@ -57,7 +58,7 @@ pub fn uncore_domains_override() -> Option<usize> {
         .then_some(n)
 }
 
-/// Runs every experiment and returns the full report (the `run_all` binary
+/// Runs every experiment and returns the full report (`earsim all`
 /// prints this; EXPERIMENTS.md embeds it).
 ///
 /// A figure whose regeneration fails (the figure entry points return

@@ -4,14 +4,12 @@
 //! fits T(f, u) / P(f, u) surfaces for the one-shot `fitted` policy. A
 //! full characterisation — `grid × workloads × runs` — is the largest
 //! cold-path campaign the experiment engine faces, so the sweep is
-//! engineered as a fast path rather than a naive loop over cells:
+//! engineered as a fast path rather than a loop over cells:
 //!
 //! * **One matrix per workload.** The reference cell and the whole grid
 //!   go through [`run_matrix_engine`] as a single matrix: calibration and
 //!   job synthesis happen once per workload and every cell of the grid
-//!   spreads across the worker pool (the naive per-cell loop rebuilds the
-//!   job per cell and serialises the grid; it survives as the measured
-//!   reference in the `sweep_grid_wall` bench and behind `--naive`).
+//!   spreads across the worker pool.
 //! * **Batched cell claims.** Workers claim one uncore row of the grid
 //!   per queue operation ([`EngineConfig::with_batch`]): adjacent cells
 //!   run back to back under one permit, amortising setup and keeping the
@@ -54,10 +52,6 @@ pub struct SweepConfig {
     pub apps: Vec<String>,
     /// Artifact directory (`None` = no artifacts written).
     pub out_dir: Option<PathBuf>,
-    /// Run the naive per-cell reference loop instead of the structured
-    /// sweep (identical results, measurably slower — kept honest by the
-    /// `sweep_grid_wall` bench).
-    pub naive: bool,
     /// Fail the campaign if any surface's worst relative fit residual
     /// exceeds this fraction (CI tolerance gate).
     pub max_residual: Option<f64>,
@@ -71,7 +65,6 @@ impl Default for SweepConfig {
             base_seed: 9001,
             apps: Vec::new(),
             out_dir: None,
-            naive: false,
             max_residual: None,
         }
     }
@@ -137,10 +130,8 @@ fn grid_cells(spec: &SweepSpec) -> Vec<(String, RunKind)> {
 
 /// Sweeps one workload over `spec`'s grid and fits its surfaces.
 ///
-/// The structured path runs the whole grid as one engine matrix with
-/// batched claims and cache-key scheduling; `config.naive` runs the
-/// reference per-cell loop instead. Both produce bit-identical results
-/// (legacy seeds: every cell draws the same noise either way).
+/// The whole grid runs as one engine matrix (legacy seeds), one uncore
+/// row per claim, cells scheduled in cache-key order.
 pub fn sweep_app(
     targets: &WorkloadTargets,
     spec: &SweepSpec,
@@ -148,49 +139,19 @@ pub fn sweep_app(
 ) -> EarResult<AppSweep> {
     let cells = grid_cells(spec);
     let runs = config.runs.max(1);
-    let all = if config.naive {
-        // The naive loop: one engine invocation per cell. Calibration
-        // still comes from the process-wide cache, but the job is
-        // re-synthesised per cell and the grid cannot spread across the
-        // pool (each invocation holds only `runs` tasks).
-        let mut all = Vec::with_capacity(cells.len());
-        for cell in &cells {
-            let run = run_matrix_engine(
-                targets,
-                std::slice::from_ref(cell),
-                &EngineConfig::new(runs, config.base_seed).legacy_seeds(),
-            );
-            match run.all() {
-                Some(mut v) => all.append(&mut v),
-                None => return Err(sweep_failure(targets, &run.failed_labels())),
-            }
-        }
-        all
-    } else {
-        // The structured sweep: one matrix, one uncore row per claim,
-        // cells scheduled in cache-key order.
-        let ec = EngineConfig::new(runs, config.base_seed)
-            .legacy_seeds()
-            .with_batch(spec.imc_ratios.len().max(1) * runs)
-            .key_ordered();
-        let run = run_matrix_engine(targets, &cells, &ec);
-        let hits = run.summary.result_hits;
-        match run.all() {
-            Some(v) => {
-                return assemble(targets, spec, v, hits, cells.len());
-            }
-            None => return Err(sweep_failure(targets, &run.failed_labels())),
-        }
+    let ec = EngineConfig::new(runs, config.base_seed)
+        .legacy_seeds()
+        .with_batch(spec.imc_ratios.len().max(1) * runs)
+        .key_ordered();
+    let run = run_matrix_engine(targets, &cells, &ec);
+    let Some(all) = run.all() else {
+        return Err(EarError::Invariant(format!(
+            "sweep {}: cells failed: {}",
+            targets.name,
+            run.failed_labels().join(", ")
+        )));
     };
-    assemble(targets, spec, all, 0, cells.len())
-}
-
-fn sweep_failure(targets: &WorkloadTargets, failed: &[String]) -> EarError {
-    EarError::Invariant(format!(
-        "sweep {}: cells failed: {}",
-        targets.name,
-        failed.join(", ")
-    ))
+    assemble(targets, spec, all, run.summary.result_hits, cells.len())
 }
 
 fn assemble(
@@ -537,10 +498,9 @@ pub fn run_sweep(config: &SweepConfig) -> EarResult<String> {
 
     let mut out = format_table(
         &format!(
-            "Sweep campaign: {} workloads, {} grids{}",
+            "Sweep campaign: {} workloads, {} grids",
             sweeps.len(),
             if config.quick { "quick" } else { "full" },
-            if config.naive { ", naive loop" } else { "" }
         ),
         &[
             "Application",
@@ -596,24 +556,6 @@ mod tests {
 
     fn bt() -> WorkloadTargets {
         by_name("BT-MZ.C (OpenMP)").unwrap_or_else(|| panic!("catalog"))
-    }
-
-    #[test]
-    fn structured_and_naive_sweeps_are_bit_identical() {
-        let t = bt();
-        let spec = quick_spec(&t);
-        let cfg = quick_config();
-        let fast = sweep_app(&t, &spec, &cfg).unwrap_or_else(|e| panic!("{e}"));
-        let naive = sweep_app(
-            &t,
-            &spec,
-            &SweepConfig {
-                naive: true,
-                ..quick_config()
-            },
-        )
-        .unwrap_or_else(|e| panic!("{e}"));
-        assert_eq!(render_artifact(&fast), render_artifact(&naive));
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Persistent result-cache behaviour: warm runs are served from disk with
 //! bit-identical results, corruption degrades to a miss (never a panic,
-//! never a wrong table), and a schema bump invalidates the whole store.
+//! never a wrong table), and a version-stamp mismatch (schema or code)
+//! invalidates the whole store.
 
 use ear_experiments::engine::{run_matrix_engine, EngineConfig};
 use ear_experiments::{set_result_cache, RunKind};
@@ -159,7 +160,7 @@ fn version_bump_invalidates_the_whole_store() {
         "schema mismatch must wipe every entry"
     );
     let version = std::fs::read_to_string(dir.join("VERSION")).expect("VERSION rewritten");
-    assert_eq!(version.trim(), ear_experiments::cache::CACHE_SCHEMA);
+    assert_eq!(version.trim(), ear_experiments::cache::version_stamp());
 
     // And the wiped store is simply cold, not broken.
     let rerun = run();

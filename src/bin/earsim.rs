@@ -61,7 +61,7 @@ fn usage() -> ! {
          \x20          [--range maxonly|pinned|band:N]\n\
          earsim run --conf FILE --app NAME   (ear.conf instead of flags)\n\
          earsim sweep [--app NAME]... [--quick] [--runs N] [--seed N]\n\
-         \x20            [--out-dir DIR] [--naive] [--max-residual PCT]\n\
+         \x20            [--out-dir DIR] [--max-residual PCT]\n\
          \x20            full (pstate x uncore) grid characterisation,\n\
          \x20            T/P surface fit, one-shot fitted policy report\n\
          earsim sweep --fig1 NAME   fixed-uncore sweep (paper Fig. 1)\n\
@@ -278,7 +278,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), EarError> {
 
 /// `earsim sweep`: the grid-scale (pstate × uncore) characterisation
 /// campaign — per-workload surfaces, the quadratic fit, the fitted-policy
-/// comparison. The valueless `--quick`/`--naive` flags force a custom
+/// comparison. The valueless `--quick` flag forces a custom
 /// argument loop. The paper's fixed-uncore Fig. 1 sweep lives under
 /// `earsim fig 1` (and per app via `--fig1 NAME`).
 fn cmd_sweep(rest: &[String]) -> Result<(), EarError> {
@@ -311,7 +311,6 @@ fn cmd_sweep(rest: &[String]) -> Result<(), EarError> {
                 return Ok(());
             }
             "--quick" => cfg.quick = true,
-            "--naive" => cfg.naive = true,
             "--out-dir" => cfg.out_dir = Some(std::path::PathBuf::from(value("out-dir"))),
             "--runs" => {
                 cfg.runs = parse_num(&value("runs"), "runs");

@@ -1,6 +1,6 @@
 //! Programmatic regression tests of the paper's result *shapes*: the
 //! qualitative claims of §VI, asserted against the same experiment data
-//! the table/figure binaries print. If a model or policy change breaks a
+//! `earsim table` and `earsim fig` print. If a model or policy change breaks a
 //! reproduced shape, these fail.
 //!
 //! These re-run real experiment cells (3 averaged runs each) and take a
