@@ -40,7 +40,6 @@ pub mod perf;
 pub mod power;
 pub mod pstate;
 pub mod rng;
-pub mod stats;
 pub mod time;
 
 pub use cluster::{Cluster, Interconnect};

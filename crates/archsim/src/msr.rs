@@ -78,6 +78,11 @@ pub mod addr {
 /// compute dies); four bounds the inline per-domain counter arrays.
 pub const MAX_UNCORE_DOMAINS: usize = 4;
 
+// The telemetry line carries one ratio-step counter per domain index.
+const _: () = assert!(
+    ear_trace::metrics::len(ear_trace::metrics::Metric::UfsRatioSteps) == MAX_UNCORE_DOMAINS
+);
+
 /// If `msr` is a ratio-limit register (legacy 0x620 or a TPMI domain
 /// register), the uncore domain it controls.
 pub const fn uncore_domain_of_ratio_limit(msr: u32) -> Option<usize> {

@@ -32,6 +32,7 @@ use crate::power::{self, SocketPowerInput};
 use crate::pstate::{Pstate, PstateTable};
 use crate::rng::Xoshiro256;
 use crate::time::{Clock, SimTime};
+use ear_trace::metrics::{self, Metric};
 
 /// Duty cycle at which OS-idle cores wake for housekeeping; they contribute
 /// this fraction of core-seconds to APERF/MPERF (halted cores do not tick
@@ -313,7 +314,10 @@ impl Node {
             "at most {} sockets supported",
             crate::counters::MAX_SOCKETS
         );
-        crate::stats::record_node_domains(config.uncore_domains.clamp(1, msr::MAX_UNCORE_DOMAINS));
+        metrics::max(
+            Metric::UfsMaxDomains,
+            config.uncore_domains.clamp(1, msr::MAX_UNCORE_DOMAINS) as u64,
+        );
         let sockets: Vec<Socket> = (0..config.sockets).map(|_| Socket::new(&config)).collect();
         let boot_ratio = sockets[0].requested_ratio();
         let boot_ps = config.pstates.pstate_for_ratio(boot_ratio);
@@ -1049,7 +1053,7 @@ impl<'a> QuantumPlan<'a> {
                 let (min_r, max_r) = sp.limits[d];
                 let ratio = ufs.advance_to(dt, sp.targets[d], min_r, max_r);
                 if ratio != before {
-                    crate::stats::record_ratio_step(d);
+                    metrics::add_at(Metric::UfsRatioSteps, d, 1);
                     moved = true;
                 }
                 ratios[d] = ratio;
@@ -1118,7 +1122,7 @@ impl<'a> QuantumPlan<'a> {
                 if s.rapl_avg_w > s.rapl_limit_w {
                     if (s.rapl_throttle as usize) < self.rapl_headroom {
                         s.rapl_throttle += 1;
-                        crate::stats::record_rapl_throttle();
+                        metrics::add(Metric::PowercapThrottleEvents, 1);
                     }
                 } else if s.rapl_avg_w < s.rapl_limit_w * RAPL_LIFT_FRACTION && s.rapl_throttle > 0
                 {
@@ -1401,7 +1405,7 @@ mod tests {
 
     #[test]
     fn rapl_binding_limit_throttles_and_caps_window_average() {
-        let events_before = crate::stats::rapl_throttle_events();
+        let events_before = metrics::get(Metric::PowercapThrottleEvents);
         let mut n = quiet_node();
         // Per-socket package power of the cpu-bound phase is ~119 W at
         // nominal; 110 W is a binding PL1. The limiter settles into a
@@ -1414,7 +1418,7 @@ mod tests {
         n.run_phase(&d);
         n.run_phase(&d);
         assert!(
-            crate::stats::rapl_throttle_events() > events_before,
+            metrics::get(Metric::PowercapThrottleEvents) > events_before,
             "limiter never engaged"
         );
         for i in 0..n.socket_count() {
@@ -1453,11 +1457,11 @@ mod tests {
 
     #[test]
     fn rapl_clear_releases_the_throttle() {
-        let events_before = crate::stats::rapl_throttle_events();
+        let events_before = metrics::get(Metric::PowercapThrottleEvents);
         let mut n = quiet_node();
         n.set_rapl_limit_w(100.0, 0.5).unwrap();
         n.run_phase(&cpu_bound());
-        assert!(crate::stats::rapl_throttle_events() > events_before);
+        assert!(metrics::get(Metric::PowercapThrottleEvents) > events_before);
         n.clear_rapl_limit();
         assert!(!n.rapl_enabled());
         assert_eq!(n.rapl_throttle_steps(), 0);
@@ -1473,11 +1477,11 @@ mod tests {
         let mut cfg = NodeConfig::sd530_6148();
         cfg.noise_sigma = 0.0;
         cfg.fast_forward = true;
-        let events_before = crate::stats::rapl_throttle_events();
+        let events_before = metrics::get(Metric::PowercapThrottleEvents);
         let mut n = Node::new(cfg, 1);
         n.set_rapl_limit_w(110.0, 0.5).unwrap();
         n.run_phase(&cpu_bound());
-        assert!(crate::stats::rapl_throttle_events() > events_before);
+        assert!(metrics::get(Metric::PowercapThrottleEvents) > events_before);
         assert!(n.socket(0).rapl_avg_power_w() <= 110.0 * 1.02);
     }
 

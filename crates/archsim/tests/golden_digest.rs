@@ -296,7 +296,8 @@ fn run_sequence(seq: u64, domains: usize, h: &mut Digest) {
 }
 
 fn digest_for(domains: usize) -> u64 {
-    let throttles_before = ear_archsim::stats::rapl_throttle_events();
+    let throttles_before =
+        ear_trace::metrics::get(ear_trace::metrics::Metric::PowercapThrottleEvents);
     let mut h = Digest::new();
     for seq in 0..64u64 {
         // Every sequence runs at every domain count: the same software
@@ -305,7 +306,8 @@ fn digest_for(domains: usize) -> u64 {
     }
     // The counter is process-wide, but other tests only ever add to it.
     assert!(
-        ear_archsim::stats::rapl_throttle_events() > throttles_before,
+        ear_trace::metrics::get(ear_trace::metrics::Metric::PowercapThrottleEvents)
+            > throttles_before,
         "no sequence ever made PL1 bind"
     );
     h.0

@@ -33,9 +33,9 @@
 use crate::fnv::{fnv1a, FNV_OFFSET};
 use crate::harness::{RunKind, RunResult};
 use ear_errors::EarError;
+use ear_trace::metrics::{self, Metric};
 use ear_workloads::WorkloadTargets;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 
 /// Store schema: the entry file layout **and** the key derivation. Bump on
@@ -59,10 +59,6 @@ pub const SOURCE_FINGERPRINT: u64 = include!(concat!(env!("OUT_DIR"), "/source_f
 pub const DEFAULT_CACHE_DIR: &str = "target/earsim-cache";
 
 static STORE: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-static HITS: AtomicU64 = AtomicU64::new(0);
-static MISSES: AtomicU64 = AtomicU64::new(0);
-static INVALIDATIONS: AtomicU64 = AtomicU64::new(0);
 
 fn store_dir() -> Option<PathBuf> {
     STORE.lock().unwrap_or_else(PoisonError::into_inner).clone()
@@ -107,9 +103,9 @@ pub fn set_result_cache(dir: Option<PathBuf>) {
 /// `(hits, misses, invalidations)` since process start.
 pub fn result_cache_stats() -> (u64, u64, u64) {
     (
-        HITS.load(Ordering::Relaxed),
-        MISSES.load(Ordering::Relaxed),
-        INVALIDATIONS.load(Ordering::Relaxed),
+        metrics::get(Metric::ResultHits),
+        metrics::get(Metric::ResultMisses),
+        metrics::get(Metric::ResultInvalidations),
     )
 }
 
@@ -132,7 +128,7 @@ fn prepare_store(dir: &Path) -> Result<(), EarError> {
             }
         }
         if wiped || !current.trim().is_empty() {
-            INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Metric::ResultInvalidations, 1);
         }
         std::fs::write(&version_path, format!("{stamp}\n"))
             .map_err(|e| EarError::io(version_path.display().to_string(), e))?;
@@ -315,13 +311,13 @@ pub fn lookup(key: u64) -> Option<RunResult> {
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(_) => {
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Metric::ResultMisses, 1);
             return None;
         }
     };
     match parse_entry(key, &text) {
         Ok(result) => {
-            HITS.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Metric::ResultHits, 1);
             Some(result)
         }
         Err(e) => {
@@ -332,8 +328,8 @@ pub fn lookup(key: u64) -> Option<RunResult> {
                 path.display()
             );
             let _ = std::fs::remove_file(&path);
-            INVALIDATIONS.fetch_add(1, Ordering::Relaxed);
-            MISSES.fetch_add(1, Ordering::Relaxed);
+            metrics::add(Metric::ResultInvalidations, 1);
+            metrics::add(Metric::ResultMisses, 1);
             None
         }
     }
@@ -474,10 +470,10 @@ mod tests {
         std::fs::write(dir.join("VERSION"), stamp_for_code(old_code)).expect("stamp store");
         let orphan = put(&dir, key(old_code));
 
-        let before = INVALIDATIONS.load(Ordering::Relaxed);
+        let before = metrics::get(Metric::ResultInvalidations);
         prepare_store(&dir).expect("prepare store");
         assert!(!orphan.exists(), "entry keyed on other code survived");
-        assert!(INVALIDATIONS.load(Ordering::Relaxed) > before);
+        assert!(metrics::get(Metric::ResultInvalidations) > before);
         let version = std::fs::read_to_string(dir.join("VERSION")).expect("VERSION rewritten");
         assert_eq!(version.trim(), version_stamp());
 

@@ -32,7 +32,6 @@
 //! and worker-thread counts.
 
 pub mod arrivals;
-pub mod stats;
 pub mod stream;
 
 pub use arrivals::{generate_plan, Arrival, ArrivalConfig};

@@ -28,7 +28,6 @@
 //! converges the same way, one evaluation window behind the fleet.
 
 use crate::arrivals::{generate_plan, Arrival, ArrivalConfig};
-use crate::stats;
 use ear_archsim::rng::SplitMix64;
 use ear_archsim::Cluster;
 use ear_core::policy::PolicySettings;
@@ -40,6 +39,7 @@ use ear_mpisim::run_job;
 use ear_netd::codec::{self, FrameBuffer, WireMsg};
 use ear_netd::server::{spawn_async, EardConfig, EardService, ServerConfig, ServerHandle};
 use ear_netd::{ClientConfig, Endpoint, NetClient, NetListener};
+use ear_trace::metrics::{self, Metric};
 use ear_workloads::{build_job, calibrate};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -371,8 +371,8 @@ impl Fleet {
             }
         }
         self.rebalances += 1;
-        stats::record_rebalance();
-        stats::record_caps_pushed(self.agents.len() as u64);
+        metrics::add(Metric::PowercapRebalances, 1);
+        metrics::add(Metric::PowercapCapsPushed, self.agents.len() as u64);
         Ok(caps)
     }
 
@@ -539,7 +539,7 @@ pub fn run_stream(cfg: StreamConfig) -> EarResult<StreamReport> {
             });
             slot_caps[seq] = granted;
             completions.push(Reverse((end_us, seq, slots)));
-            stats::record_admitted();
+            metrics::add(Metric::PowercapJobsAdmitted, 1);
         }
         Ok(())
     }
@@ -563,7 +563,7 @@ pub fn run_stream(cfg: StreamConfig) -> EarResult<StreamReport> {
                 fleet.report_power(s, 1.0, cfg.idle_power_w)?;
             }
             let _ = seq;
-            stats::record_completed();
+            metrics::add(Metric::PowercapJobsCompleted, 1);
             fleet.rebalance()?;
             try_admit(
                 now_us,

@@ -11,8 +11,8 @@
 
 use crate::codec::{self, WireMsg};
 use crate::conn::{Endpoint, NetConn};
-use crate::stats;
 use ear_errors::{EarError, EarResult};
+use ear_trace::metrics::{self, Metric};
 use std::time::Duration;
 
 /// Client-side deadline and retry knobs.
@@ -131,7 +131,7 @@ impl NetClient {
         let result = self.ensure_conn().and_then(attempt);
         if let Err(e) = &result {
             if codec::is_deadline_error(e) {
-                stats::deadline_hit();
+                metrics::add(Metric::NetdTimedOut, 1);
             }
             self.conn = None;
         }
@@ -151,7 +151,7 @@ impl NetClient {
             if attempt >= self.cfg.retries {
                 return Err(last);
             }
-            stats::attempt_retried();
+            metrics::add(Metric::NetdRetried, 1);
             // Jitter factor in [0.5, 1.0): half the nominal backoff at
             // minimum, never more than nominal.
             let jitter = 0.5 + (xorshift(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64 / 2.0;

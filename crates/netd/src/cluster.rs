@@ -24,10 +24,10 @@
 use crate::codec::{self, FrameBuffer, WireMsg};
 use crate::loadgen::{nth_request, reply_matches};
 use crate::server::{EardConfig, EardService};
-use crate::stats;
 use ear_core::powercap::distribute_budget;
 use ear_core::protocol::GmReport;
 use ear_errors::{EarError, EarResult};
+use ear_trace::metrics::{self, Metric};
 use std::time::{Duration, Instant};
 
 /// Cluster scenario knobs.
@@ -338,7 +338,9 @@ impl SimCluster {
             }
             below = count;
         }
-        stats::cluster_started(cfg.nodes as u64, levels.len() as u64);
+        metrics::add(Metric::ClusterDaemons, cfg.nodes as u64);
+        let shown = levels.len().min(metrics::len(Metric::ClusterLevelReports));
+        metrics::set(Metric::ClusterTreeDepth, shown as u64);
         Ok(SimCluster {
             cfg,
             daemons,
@@ -475,7 +477,7 @@ impl SimCluster {
         }
 
         for (level, n) in level_reports.iter().enumerate() {
-            stats::level_reports(level, *n);
+            metrics::add_at(Metric::ClusterLevelReports, level, *n);
         }
         Ok(RoundReport {
             cluster_power_w,
@@ -547,8 +549,8 @@ impl SimCluster {
         requests += caps_pushed + level_reports.first().copied().unwrap_or(0);
         // Fold into the process-wide counters so the `earsim-telemetry`
         // summary line reflects the cluster run.
-        stats::requests_served_bulk(requests);
-        stats::decode_errors_bulk(errors);
+        metrics::add(Metric::NetdRequests, requests);
+        metrics::add(Metric::NetdDecodeErrors, errors);
         Ok(ClusterReport {
             nodes: self.daemons.len(),
             tree_depth: self.levels.len(),

@@ -28,8 +28,9 @@
 //! - [`cluster`] — `earsim cluster`: thousands of in-process simulated
 //!   daemons behind an EARGM aggregation tree, all traffic through the
 //!   real codec.
-//! - [`stats`] — process-wide service counters surfaced in the
-//!   `earsim-telemetry` summary.
+//!
+//! The service counters surfaced in the `earsim-telemetry` line are
+//! entries of the `ear_trace::metrics` registry.
 
 #![warn(missing_docs)]
 
@@ -42,14 +43,12 @@ pub mod pipe;
 pub mod poller;
 pub mod readiness;
 pub mod server;
-pub mod stats;
 
 pub use client::{ClientConfig, NetClient};
 pub use cluster::{ClusterConfig, ClusterReport, SimCluster};
 pub use codec::{FrameBuffer, WireMsg, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
 pub use conn::{Endpoint, NetConn, NetListener};
-pub use loadgen::{LoadReport, LoadgenConfig};
+pub use loadgen::{LatencyHistogram, LoadReport, LoadgenConfig};
 pub use pipe::{mem_channel, pipe, MemConnector, MemListener, PipeEnd};
 pub use poller::{EargmPoller, PollRound};
 pub use server::{EardConfig, EardService, ServerConfig, ServerHandle, ServerReport};
-pub use stats::{LatencyHistogram, NetdSnapshot};

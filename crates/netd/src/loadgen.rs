@@ -5,7 +5,9 @@
 //! deterministic mix of protocol requests. Latency is recorded into a
 //! fixed-bucket power-of-two histogram — no per-request allocation, exact
 //! counts, approximate quantiles with one-bucket resolution — and the
-//! report carries throughput plus exact min/max and p50/p95/p99.
+//! report carries throughput plus exact min/max and p50/p95/p99. The
+//! histogram tracks the exact observed extremes next to its buckets, so
+//! reports print precise min/max beside bucket-resolution quantiles.
 //!
 //! Throughput is measured over the *active* window: each client subtracts
 //! the time it spent connecting, redialing after drops and sleeping retry
@@ -15,12 +17,104 @@
 use crate::client::{ClientConfig, NetClient};
 use crate::codec::WireMsg;
 use crate::conn::Endpoint;
-pub use crate::stats::{LatencyHistogram, BUCKETS};
 use ear_core::policy::NodeFreqs;
 use ear_core::protocol::EarlRequest;
 use ear_core::Signature;
 use ear_errors::{EarError, EarResult};
 use std::time::{Duration, Instant};
+
+/// Number of power-of-two latency buckets (bucket `i` holds samples in
+/// `[2^i, 2^(i+1))` nanoseconds; 2^63 ns ≈ 292 years caps the range).
+pub const BUCKETS: usize = 64;
+
+/// A fixed-bucket latency histogram over nanoseconds, plus exact observed
+/// extremes.
+#[derive(Debug, Clone)]
+pub struct LatencyHistogram {
+    buckets: [u64; BUCKETS],
+    count: u64,
+    min: u64,
+    max: u64,
+}
+
+impl Default for LatencyHistogram {
+    fn default() -> Self {
+        LatencyHistogram {
+            buckets: [0; BUCKETS],
+            count: 0,
+            min: u64::MAX,
+            max: 0,
+        }
+    }
+}
+
+impl LatencyHistogram {
+    /// Creates an empty histogram.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Records one sample.
+    pub fn record(&mut self, nanos: u64) {
+        let idx = 63 - nanos.max(1).leading_zeros() as usize;
+        self.buckets[idx.min(BUCKETS - 1)] += 1;
+        self.count += 1;
+        self.min = self.min.min(nanos);
+        self.max = self.max.max(nanos);
+    }
+
+    /// Samples recorded.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// The exact smallest recorded sample (ns); 0 when empty.
+    pub fn min(&self) -> u64 {
+        if self.count == 0 {
+            0
+        } else {
+            self.min
+        }
+    }
+
+    /// The exact largest recorded sample (ns); 0 when empty.
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Folds another histogram into this one.
+    pub fn merge(&mut self, other: &LatencyHistogram) {
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        if other.count > 0 {
+            self.min = self.min.min(other.min);
+            self.max = self.max.max(other.max);
+        }
+    }
+
+    /// The `q`-quantile (0 < q ≤ 1) in nanoseconds, resolved to the upper
+    /// bound of the bucket holding that rank; 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * self.count as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            seen += n;
+            if seen >= rank {
+                return if i >= 63 {
+                    u64::MAX
+                } else {
+                    (1u64 << (i + 1)) - 1
+                };
+            }
+        }
+        u64::MAX
+    }
+}
 
 /// Load-generator knobs.
 #[derive(Debug, Clone)]

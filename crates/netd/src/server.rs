@@ -19,10 +19,10 @@
 use crate::codec::{self, FrameBuffer, WireMsg};
 use crate::conn::{NetConn, NetListener};
 use crate::readiness::{self, PollFd, POLLIN, POLLOUT};
-use crate::stats;
 use ear_core::policy::NodeFreqs;
 use ear_core::protocol::{DaemonReply, EarlRequest, GmReport};
 use ear_errors::EarResult;
+use ear_trace::metrics::{self, Metric};
 use ear_trace::{self as trace, TraceEvent, TraceRecord};
 use std::io::{self, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -251,7 +251,7 @@ fn handle_conn(shared: &ServerShared, mut conn: NetConn) {
                 let (reply, shutdown) = lock_service(shared).respond(&msg);
                 let ok = !matches!(reply, WireMsg::Error { .. });
                 shared.requests.fetch_add(1, Ordering::Relaxed);
-                stats::request_served();
+                metrics::add(Metric::NetdRequests, 1);
                 let req = msg.kind();
                 trace::emit_with(|| TraceRecord {
                     time_s: 0.0,
@@ -276,7 +276,7 @@ fn handle_conn(shared: &ServerShared, mut conn: NetConn) {
                 // An idle connection hitting its read deadline is
                 // collected, not an error; the client redials on demand.
                 if crate::codec::is_deadline_error(&e) {
-                    stats::deadline_hit();
+                    metrics::add(Metric::NetdTimedOut, 1);
                     emit_conn(node, "idle");
                     break;
                 }
@@ -284,7 +284,7 @@ fn handle_conn(shared: &ServerShared, mut conn: NetConn) {
                 // trace it, best-effort tell the peer, drop the
                 // connection. The server stays up.
                 shared.conn_errors.fetch_add(1, Ordering::Relaxed);
-                stats::decode_error();
+                metrics::add(Metric::NetdDecodeErrors, 1);
                 emit_conn(node, "error");
                 let _ = conn.write_msg(&WireMsg::Error {
                     message: e.to_string(),
@@ -322,7 +322,7 @@ pub fn run(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerReport> 
             Some(mut conn) => {
                 if shared.active.load(Ordering::SeqCst) >= shared.cfg.workers {
                     report.rejected += 1;
-                    stats::conn_rejected();
+                    metrics::add(Metric::NetdRejected, 1);
                     emit_conn(node, "rejected");
                     let _ = conn.set_io_timeouts(None, Some(shared.cfg.write_timeout));
                     let _ = conn.write_msg(&WireMsg::Error {
@@ -331,7 +331,7 @@ pub fn run(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerReport> 
                     continue;
                 }
                 report.accepted += 1;
-                stats::conn_accepted();
+                metrics::add(Metric::NetdAccepted, 1);
                 emit_conn(node, "accepted");
                 shared.active.fetch_add(1, Ordering::SeqCst);
                 let worker_shared = Arc::clone(&shared);
@@ -438,7 +438,7 @@ const IDLE_TICK: Duration = Duration::from_millis(25);
 /// descriptors are ready, partial reads accumulate in each connection's
 /// [`FrameBuffer`] (frames decode zero-copy from that window), and every
 /// reply produced in one iteration is coalesced into a single `write` per
-/// connection — the batched-flush counter in [`stats`] counts the writes
+/// connection — the `netd.batched_flushes` telemetry counter counts the writes
 /// that carried more than one frame. Protocol semantics match the blocking
 /// [`run`] exactly: same saturation error frame, same idle-collection
 /// deadline, same mid-frame-kill accounting, same poison-frame drain — so
@@ -512,7 +512,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
             while let Some(mut conn) = listener.accept_nonblocking()? {
                 if conns.len() >= cfg.workers {
                     report.rejected += 1;
-                    stats::conn_rejected();
+                    metrics::add(Metric::NetdRejected, 1);
                     emit_conn(node, "rejected");
                     let mut frame = Vec::new();
                     let _ = codec::encode_frame_into(
@@ -528,7 +528,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                     continue;
                 }
                 report.accepted += 1;
-                stats::conn_accepted();
+                metrics::add(Metric::NetdAccepted, 1);
                 emit_conn(node, "accepted");
                 conns.push(AsyncConn::new(conn));
             }
@@ -565,7 +565,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                             let (reply, is_shutdown) = service.respond(&msg);
                             let ok = !matches!(reply, WireMsg::Error { .. });
                             report.requests += 1;
-                            stats::request_served();
+                            metrics::add(Metric::NetdRequests, 1);
                             let req = msg.kind();
                             trace::emit_with(|| TraceRecord {
                                 time_s: 0.0,
@@ -587,7 +587,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                             // Malformed frame: count it, best-effort tell
                             // the peer, stop reading this connection.
                             report.conn_errors += 1;
-                            stats::decode_error();
+                            metrics::add(Metric::NetdDecodeErrors, 1);
                             emit_conn(node, "error");
                             let _ = codec::encode_frame_into(
                                 &mut c.out,
@@ -610,7 +610,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                 c.eof_classified = true;
                 if c.inbuf.mid_frame() && !c.closing {
                     report.conn_errors += 1;
-                    stats::decode_error();
+                    metrics::add(Metric::NetdDecodeErrors, 1);
                     emit_conn(node, "error");
                     c.dead = true;
                 } else {
@@ -646,7 +646,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                 }
                 if !c.dead && !c.pending() {
                     if c.frames_queued > 1 {
-                        stats::batched_flush();
+                        metrics::add(Metric::NetdBatchedFlushes, 1);
                     }
                     c.frames_queued = 0;
                     c.out.clear();
@@ -666,7 +666,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
                 && !c.pending()
                 && c.last_activity.elapsed() >= cfg.read_timeout
             {
-                stats::deadline_hit();
+                metrics::add(Metric::NetdTimedOut, 1);
                 emit_conn(node, "idle");
                 c.dead = true;
             }

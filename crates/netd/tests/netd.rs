@@ -467,7 +467,7 @@ fn async_server_coalesces_pipelined_requests_into_batched_flushes() {
     // floor is assertable: this burst must have produced at least one
     // multi-frame flush.
     assert!(
-        ear_netd::stats::snapshot().batched_flushes >= 1,
+        ear_trace::metrics::get(ear_trace::metrics::Metric::NetdBatchedFlushes) >= 1,
         "a pipelined burst must coalesce replies into one write"
     );
 }

@@ -426,7 +426,7 @@ fn cmd_bench(rest: &[String]) -> Result<(), EarError> {
                     .or_else(|| l.starts_with('{').then_some(l))
             })
             .ok_or_else(|| EarError::config(format!("{path}: no earsim-telemetry line found")))?;
-        ear::experiments::bench::validate_telemetry_json(line)
+        ear::trace::metrics::validate(line)
             .map_err(|e| EarError::config(format!("{path}: INVALID: {e}")))?;
         println!("{path}: telemetry valid");
         return Ok(());
