@@ -7,12 +7,20 @@
 //! sequences that cover what the catalog does not: 1, 2 and 4 uncore
 //! domains, every pstate, pinned, floating and legacy-register uncore
 //! limits, EPB writes on one socket, busy and idle waits, pure-wait and
-//! zero-length phases, idle gaps, power-meter stalls, the fast-forward
-//! configuration, GPU nodes, and RAPL PL1 armed (binding and loose) and
-//! cleared. After every phase it hashes the bits of every `snapshot()`
-//! field, every modelled MSR as software reads it, the phase outcome and
-//! the limiter state. The expected digests were recorded from the
-//! straightforward per-quantum implementation.
+//! zero-length phases, idle gaps, power-meter stalls, GPU nodes, and RAPL
+//! PL1 armed (binding and loose) and cleared. After every phase it folds
+//! two views into two digests:
+//!
+//! * the observable view: the bits of every `snapshot()` field, every
+//!   modelled MSR as software reads it, the phase outcome and the limiter
+//!   state;
+//! * the exact view: the f64 bits of every accumulator behind the integer
+//!   counters, each UFS slew timer and the INM's exact energy
+//!   (`Node::exact_state`), which catches drift too small to move a
+//!   truncated counter.
+//!
+//! The expected digests were recorded from the straightforward per-quantum
+//! implementation, stepping every quantum of every sequence.
 
 use ear_archsim::msr::{self, addr};
 use ear_archsim::{Node, NodeConfig, PhaseDemand, MAX_UNCORE_DOMAINS};
@@ -97,8 +105,22 @@ fn msr_addresses() -> Vec<u32> {
     v
 }
 
+/// The observable and the exact digest of a run.
+struct Digests {
+    observable: Digest,
+    exact: Digest,
+}
+
+/// Folds both views of the node's state into `h`.
+fn observe(h: &mut Digests, node: &Node, regs: &[u32]) {
+    observe_software(&mut h.observable, node, regs);
+    for v in node.exact_state() {
+        h.exact.f64(v);
+    }
+}
+
 /// Hashes everything software and the accounting can observe.
-fn observe(h: &mut Digest, node: &Node, regs: &[u32]) {
+fn observe_software(h: &mut Digest, node: &Node, regs: &[u32]) {
     let snap = node.snapshot();
     h.u64(snap.time.as_micros());
     h.u64(snap.dc_energy_mj);
@@ -259,7 +281,7 @@ fn random_knobs(g: &mut Gen, node: &mut Node) {
 }
 
 /// Runs one seeded sequence and folds it into `h`.
-fn run_sequence(seq: u64, domains: usize, h: &mut Digest) {
+fn run_sequence(seq: u64, domains: usize, h: &mut Digests) {
     let mut g = Gen(0x5EED_0000 + seq);
     let mut cfg = if seq % 5 == 4 {
         NodeConfig::gpu_node_6142m()
@@ -270,7 +292,6 @@ fn run_sequence(seq: u64, domains: usize, h: &mut Digest) {
     if seq % 4 == 1 {
         cfg.noise_sigma = 0.0;
     }
-    cfg.fast_forward = seq % 8 == 7;
     let mut node = Node::new(cfg, g.next());
     let regs = msr_addresses();
     let phases = g.int(6, 12);
@@ -278,10 +299,10 @@ fn run_sequence(seq: u64, domains: usize, h: &mut Digest) {
         random_knobs(&mut g, &mut node);
         let demand = random_demand(&mut g, &node);
         let out = node.run_phase(&demand);
-        h.u64(out.start.as_micros());
-        h.u64(out.end.as_micros());
-        h.f64(out.work_s);
-        h.f64(out.wait_s);
+        h.observable.u64(out.start.as_micros());
+        h.observable.u64(out.end.as_micros());
+        h.observable.f64(out.work_s);
+        h.observable.f64(out.wait_s);
         observe(h, &node, &regs);
         if g.chance(0.3) {
             let gap = if g.chance(0.1) {
@@ -295,10 +316,14 @@ fn run_sequence(seq: u64, domains: usize, h: &mut Digest) {
     }
 }
 
-fn digest_for(domains: usize) -> u64 {
+/// The (observable, exact) digests of all 64 sequences at `domains`.
+fn digest_for(domains: usize) -> (u64, u64) {
     let throttles_before =
         ear_trace::metrics::get(ear_trace::metrics::Metric::PowercapThrottleEvents);
-    let mut h = Digest::new();
+    let mut h = Digests {
+        observable: Digest::new(),
+        exact: Digest::new(),
+    };
     for seq in 0..64u64 {
         // Every sequence runs at every domain count: the same software
         // decisions, different hardware.
@@ -310,23 +335,30 @@ fn digest_for(domains: usize) -> u64 {
             > throttles_before,
         "no sequence ever made PL1 bind"
     );
-    h.0
+    (h.observable.0, h.exact.0)
+}
+
+/// Checks both digests at `domains` against the recorded values.
+fn assert_digests(domains: usize, observable: u64, exact: u64) {
+    let (got_observable, got_exact) = digest_for(domains);
+    assert_eq!(
+        got_observable, observable,
+        "observable digest {got_observable:#018x}"
+    );
+    assert_eq!(got_exact, exact, "exact digest {got_exact:#018x}");
 }
 
 #[test]
 fn one_domain_trajectories_are_bit_identical_to_the_recorded_digest() {
-    let got = digest_for(1);
-    assert_eq!(got, 0x1408_6a51_03c4_78f4, "digest {got:#018x}");
+    assert_digests(1, 0x1156_0a2e_4b2c_22d4, 0x2df4_914b_fe48_a5ec);
 }
 
 #[test]
 fn two_domain_trajectories_are_bit_identical_to_the_recorded_digest() {
-    let got = digest_for(2);
-    assert_eq!(got, 0x2e99_9f59_34eb_2949, "digest {got:#018x}");
+    assert_digests(2, 0x2278_4fd1_c7c9_0784, 0xa98e_0d76_b377_b4f4);
 }
 
 #[test]
 fn four_domain_trajectories_are_bit_identical_to_the_recorded_digest() {
-    let got = digest_for(4);
-    assert_eq!(got, 0x6009_a5c2_f51b_6b93, "digest {got:#018x}");
+    assert_digests(4, 0xbdb4_7e0d_d1c1_77ff, 0x5c57_9226_8b3f_baf4);
 }
