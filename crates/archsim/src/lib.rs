@@ -39,6 +39,8 @@ pub mod node;
 pub mod perf;
 pub mod power;
 pub mod pstate;
+#[doc(hidden)]
+pub mod repeat;
 pub mod rng;
 pub mod time;
 
