@@ -147,13 +147,6 @@ pub struct NodeConfig {
     /// Relative sigma of run-to-run measurement noise applied to iteration
     /// durations and power (the paper averages 3 runs for this reason).
     pub noise_sigma: f64,
-    /// Quantum fast-forward: once the firmware UFS controller has settled
-    /// (current ratio equals its target on every socket), the remainder of
-    /// a phase is integrated analytically in one step instead of walking
-    /// 10 ms quanta. Off by default: the one-shot integration is equal in
-    /// exact arithmetic but not bit-identical to the stepped sum, and the
-    /// experiment tables guarantee bit-reproducibility.
-    pub fast_forward: bool,
 }
 
 impl NodeConfig {
@@ -175,7 +168,6 @@ impl NodeConfig {
             power: PowerParams::default(),
             hwufs: HwUfsParams::default(),
             noise_sigma: 0.004,
-            fast_forward: false,
         }
     }
 
@@ -196,7 +188,6 @@ impl NodeConfig {
             power: PowerParams::default(),
             hwufs: HwUfsParams::default(),
             noise_sigma: 0.004,
-            fast_forward: false,
         }
     }
 

@@ -1,156 +1,205 @@
-//! Quantum fast-forward vs plain 10 ms stepping.
+//! The settled-phase jump against quantum-by-quantum stepping.
 //!
-//! `NodeConfig::fast_forward` analytically integrates the remainder of a
-//! phase once the firmware UFS controller has settled on every socket. The
-//! one-shot integration is equal to the stepped sum in exact arithmetic but
-//! not bit-identical (N accumulator adds vs one multiply), so:
-//!
-//! * across pstate and uncore-limit sweeps the two trajectories must agree
-//!   to ~1-ulp-scale relative tolerance on every counter and energy, and
-//! * when the controller never settles during any phase, fast-forward never
-//!   triggers and the runs must be *exactly* equal, bit for bit.
-//!
-//! Dependency-free on purpose: this guards the experiment tables'
-//! bit-reproducibility claim, so it must run everywhere `cargo test` runs.
+//! Once the firmware UFS has settled and no PL1 limit is armed,
+//! `Node::run_phase` and `Node::run_idle` jump the remaining full quanta
+//! of a call instead of stepping them one by one. The jump must be exact:
+//! every result must equal, bit for bit, what the doc-hidden oracles
+//! `run_phase_stepped`/`run_idle_stepped` (the literal 10 ms loop) leave.
+//! These tests drive a jumping node and a stepping node through the same
+//! calls and compare the phase outcomes, the clock, the counter snapshot,
+//! every MSR software reads and the f64 state behind them
+//! (`Node::exact_state`) after every call.
 
-use ear_archsim::{Node, NodeConfig, PhaseDemand};
+use ear_archsim::msr::addr;
+use ear_archsim::{Node, NodeConfig, PhaseDemand, PhaseOutcome};
 
 const SEED: u64 = 7;
 
-fn pair(min_r: u8, max_r: u8) -> (Node, Node) {
-    let mut cfg = NodeConfig::sd530_6148();
-    cfg.uncore_min_ratio = min_r;
-    cfg.uncore_max_ratio = max_r;
-    let stepped = Node::new(cfg.clone(), SEED);
-    cfg.fast_forward = true;
-    let fast = Node::new(cfg, SEED);
-    (stepped, fast)
+/// A node that jumps settled runs and one that steps every quantum.
+struct Pair {
+    jumped: Node,
+    stepped: Node,
 }
 
-fn rel_close(a: f64, b: f64, tol: f64, what: &str) {
-    let scale = a.abs().max(b.abs()).max(1.0);
-    // `+ 1.0`: integer counters truncate, so values straddling a count
-    // boundary legitimately differ by one count on top of the relative term.
-    assert!(
-        (a - b).abs() <= tol * scale + 1.0,
-        "{what}: {a} vs {b} (rel {})",
-        (a - b).abs() / scale
-    );
+impl Pair {
+    fn new(cfg: NodeConfig) -> Self {
+        Pair {
+            jumped: Node::new(cfg.clone(), SEED),
+            stepped: Node::new(cfg, SEED),
+        }
+    }
+
+    fn sd530(min_r: u8, max_r: u8) -> Self {
+        let mut cfg = NodeConfig::sd530_6148();
+        cfg.uncore_min_ratio = min_r;
+        cfg.uncore_max_ratio = max_r;
+        Pair::new(cfg)
+    }
+
+    /// Applies the same software action to both nodes.
+    fn both(&mut self, f: impl Fn(&mut Node)) {
+        f(&mut self.jumped);
+        f(&mut self.stepped);
+    }
+
+    fn phase(&mut self, d: &PhaseDemand) {
+        let a = self.jumped.run_phase(d);
+        let b = self.stepped.run_phase_stepped(d);
+        assert_same_outcome(&a, &b);
+        self.assert_same("after run_phase");
+    }
+
+    fn idle(&mut self, seconds: f64) {
+        self.jumped.run_idle(seconds);
+        self.stepped.run_idle_stepped(seconds);
+        self.assert_same("after run_idle");
+    }
+
+    fn assert_same(&self, what: &str) {
+        let (a, b) = (&self.jumped, &self.stepped);
+        assert_eq!(a.now(), b.now(), "{what}: clock");
+        assert_eq!(a.snapshot(), b.snapshot(), "{what}: snapshot");
+        let bits = |n: &Node| -> Vec<u64> { n.exact_state().iter().map(|v| v.to_bits()).collect() };
+        assert_eq!(bits(a), bits(b), "{what}: exact f64 state");
+        for s in 0..a.socket_count() {
+            for r in [
+                addr::IA32_PERF_STATUS,
+                addr::IA32_FIXED_CTR0,
+                addr::IA32_FIXED_CTR1,
+                addr::IA32_APERF,
+                addr::IA32_MPERF,
+                addr::MSR_PKG_ENERGY_STATUS,
+                addr::MSR_DRAM_ENERGY_STATUS,
+                addr::MSR_UNCORE_PERF_STATUS,
+                addr::MSR_U_PMON_UCLK_FIXED_CTR,
+            ] {
+                assert_eq!(a.read_msr(s, r), b.read_msr(s, r), "{what}: MSR {r:#x}");
+            }
+        }
+    }
 }
 
-/// Runs the same mixed workload on both nodes and compares end state.
-fn run_and_compare(mut stepped: Node, mut fast: Node, khz: u64) {
-    let ps = stepped.config.pstates.pstate_for_khz(khz);
-    let work = PhaseDemand {
+fn assert_same_outcome(a: &PhaseOutcome, b: &PhaseOutcome) {
+    assert_eq!((a.start, a.end), (b.start, b.end), "phase bounds");
+    assert_eq!(a.work_s.to_bits(), b.work_s.to_bits(), "work_s");
+    assert_eq!(a.wait_s.to_bits(), b.wait_s.to_bits(), "wait_s");
+}
+
+fn mixed_work() -> PhaseDemand {
+    PhaseDemand {
         instructions: 2.0e11,
         mem_bytes: 8.0e9,
         active_cores: 40,
         wait_seconds: 0.25,
         wait_busy: true,
         ..Default::default()
-    };
-    let streaming = PhaseDemand {
+    }
+}
+
+fn streaming() -> PhaseDemand {
+    PhaseDemand {
         instructions: 4.0e10,
         mem_bytes: 4.0e10,
         active_cores: 40,
         ..Default::default()
-    };
-    for node in [&mut stepped, &mut fast] {
-        node.set_cpu_pstate(ps);
-        node.run_phase(&work);
-        node.run_idle(0.3);
-        node.run_phase(&streaming);
-        node.run_phase(&work);
     }
+}
 
-    let a = stepped.now().as_secs();
-    let b = fast.now().as_secs();
-    assert!(
-        (a - b).abs() <= 5e-6,
-        "end times diverged: {a} vs {b} ({} s)",
-        (a - b).abs()
-    );
-
-    let tol = 1e-9;
-    let (s, f) = (stepped.snapshot(), fast.snapshot());
-    for (i, (sc, fc)) in s.sockets.iter().zip(f.sockets.iter()).enumerate() {
-        rel_close(
-            sc.instructions as f64,
-            fc.instructions as f64,
-            tol,
-            &format!("socket {i} instructions"),
-        );
-        rel_close(
-            sc.core_cycles as f64,
-            fc.core_cycles as f64,
-            tol,
-            &format!("socket {i} core_cycles"),
-        );
-        rel_close(
-            sc.aperf_kcycles as f64,
-            fc.aperf_kcycles as f64,
-            tol,
-            &format!("socket {i} aperf"),
-        );
-        rel_close(
-            sc.mperf_kcycles as f64,
-            fc.mperf_kcycles as f64,
-            tol,
-            &format!("socket {i} mperf"),
-        );
-        rel_close(
-            sc.cas_transactions as f64,
-            fc.cas_transactions as f64,
-            tol,
-            &format!("socket {i} cas"),
-        );
-        rel_close(
-            sc.uclk_kcycles as f64,
-            fc.uclk_kcycles as f64,
-            tol,
-            &format!("socket {i} uclk"),
-        );
-        rel_close(
-            sc.pkg_energy_uj as f64,
-            fc.pkg_energy_uj as f64,
-            tol,
-            &format!("socket {i} pkg energy"),
-        );
-        rel_close(
-            sc.dram_energy_uj as f64,
-            fc.dram_energy_uj as f64,
-            tol,
-            &format!("socket {i} dram energy"),
-        );
-    }
-    rel_close(
-        stepped.dc_energy_exact_j(),
-        fast.dc_energy_exact_j(),
-        tol,
-        "dc energy",
-    );
+/// Runs the same mixed workload on both nodes, comparing after each call.
+fn run_mixed(p: &mut Pair, khz: u64) {
+    let ps = p.jumped.config.pstates.pstate_for_khz(khz);
+    p.both(|n| n.set_cpu_pstate(ps));
+    p.phase(&mixed_work());
+    p.idle(0.3);
+    p.phase(&streaming());
+    p.phase(&mixed_work());
 }
 
 #[test]
-fn tolerance_across_pstate_sweep() {
-    // Sweep requested CPU frequency across the DVFS range used by the
-    // paper's policies; fast-forward fires in the settled tail of every
-    // phase yet the trajectories stay within ulp-scale tolerance.
+fn bit_identical_across_pstate_sweep() {
+    // The DVFS range the paper's policies use: the uncore settles at max
+    // at nominal and inside the window below it, and the tail of every
+    // phase is jumped.
     for khz in [2_400_000, 2_200_000, 2_000_000, 1_800_000] {
-        let (stepped, fast) = pair(12, 24);
-        run_and_compare(stepped, fast, khz);
+        run_mixed(&mut Pair::sd530(12, 24), khz);
     }
 }
 
 #[test]
-fn tolerance_across_uncore_sweep() {
-    // Sweep the software-programmed uncore window (eUFS pins min == max).
+fn bit_identical_across_uncore_sweep() {
+    // The software-programmed uncore window (eUFS pins min == max).
     for (min_r, max_r) in [(12u8, 24u8), (18, 18), (14, 20), (24, 24)] {
-        let (mut stepped, mut fast) = pair(12, 24);
-        stepped.set_uncore_limits(min_r, max_r).unwrap();
-        fast.set_uncore_limits(min_r, max_r).unwrap();
-        run_and_compare(stepped, fast, 2_100_000);
+        let mut p = Pair::sd530(12, 24);
+        p.both(|n| n.set_uncore_limits(min_r, max_r).unwrap());
+        run_mixed(&mut p, 2_100_000);
     }
+}
+
+#[test]
+fn bit_identical_over_long_phases_idles_and_a_meter_stall() {
+    // Minutes of simulated time: thousands of quanta per jump, many INM
+    // publications inside each, binade crossings in every accumulator,
+    // and a stalled meter whose backlog publishes mid-jump.
+    let mut p = Pair::sd530(12, 24);
+    let long_work = PhaseDemand {
+        instructions: 3.0e13,
+        mem_bytes: 1.5e12,
+        active_cores: 40,
+        wait_seconds: 7.3,
+        wait_busy: true,
+        ..Default::default()
+    };
+    let long_spin = PhaseDemand {
+        active_cores: 1,
+        wait_seconds: 12.345,
+        wait_busy: true,
+        ..Default::default()
+    };
+    p.phase(&long_work);
+    p.both(|n| n.inject_power_meter_stall(4.5));
+    p.idle(33.3);
+    p.phase(&long_spin);
+    p.both(|n| n.set_cpu_pstate(6));
+    p.phase(&long_work);
+    p.idle(0.004);
+    p.idle(1.0);
+}
+
+#[test]
+fn bit_identical_on_multi_domain_and_gpu_nodes() {
+    let routed = PhaseDemand {
+        domain_mem_frac: Some([0.7, 0.3, 0.0, 0.0]),
+        ..mixed_work()
+    };
+    for domains in [2, 4] {
+        let mut p = Pair::new(NodeConfig::sd530_6148().with_uncore_domains(domains));
+        p.both(|n| n.set_uncore_limits_dom(1, 14, 14).unwrap());
+        for khz in [2_400_000, 2_000_000] {
+            run_mixed(&mut p, khz);
+            p.phase(&routed);
+        }
+    }
+    let mut p = Pair::new(NodeConfig::gpu_node_6142m());
+    let offload = PhaseDemand {
+        gpu_power_w: 310.0,
+        ..mixed_work()
+    };
+    p.phase(&offload);
+    p.idle(2.0);
+    p.phase(&offload);
+}
+
+#[test]
+fn bit_identical_with_pl1_armed_and_cleared() {
+    // An armed limit turns the jump off for the whole call; clearing it
+    // turns it back on mid-sequence.
+    let mut p = Pair::sd530(12, 24);
+    p.both(|n| n.set_rapl_limit_w(110.0, 0.5).unwrap());
+    p.phase(&mixed_work());
+    p.idle(1.5);
+    p.both(|n| n.clear_rapl_limit());
+    p.phase(&mixed_work());
+    p.idle(1.5);
 }
 
 #[test]
@@ -158,40 +207,24 @@ fn exactly_equal_when_controller_never_settles() {
     // Alternate 30 ms spin phases between a sub-nominal pstate (uncore
     // target ~14) and nominal (target = max 24). Each transition needs
     // 50-60 ms of slew at 2 ratio steps / 10 ms, so no phase ever reaches
-    // its target: `ufs_settled` is false at every fast-forward opportunity
-    // and the two runs must be bit-identical, not merely close.
-    let (mut stepped, mut fast) = pair(12, 24);
-    let ps_slow = stepped.config.pstates.pstate_for_khz(2_000_000);
-    let ps_nom = stepped.config.pstates.nominal();
+    // its target and no call ever jumps.
+    let mut p = Pair::sd530(12, 24);
+    let ps_slow = p.jumped.config.pstates.pstate_for_khz(2_000_000);
+    let ps_nom = p.jumped.config.pstates.nominal();
     let spin = PhaseDemand {
         active_cores: 40,
         wait_seconds: 0.030,
         wait_busy: true,
         ..Default::default()
     };
-    for node in [&mut stepped, &mut fast] {
-        for _ in 0..8 {
-            node.set_cpu_pstate(ps_slow);
-            node.run_phase(&spin); // uncore slews down, never arrives
-            node.set_cpu_pstate(ps_nom);
-            node.run_phase(&spin); // slews back up, arrives only at the end
-            node.set_cpu_pstate(ps_slow);
-            node.run_idle(0.025); // idle target = min, again out of reach
-            node.set_cpu_pstate(ps_nom);
-            node.run_phase(&spin);
-        }
+    for _ in 0..8 {
+        p.both(|n| n.set_cpu_pstate(ps_slow));
+        p.phase(&spin); // uncore slews down, never arrives
+        p.both(|n| n.set_cpu_pstate(ps_nom));
+        p.phase(&spin); // slews back up, arrives only at the end
+        p.both(|n| n.set_cpu_pstate(ps_slow));
+        p.idle(0.025); // idle target = min, again out of reach
+        p.both(|n| n.set_cpu_pstate(ps_nom));
+        p.phase(&spin);
     }
-    assert_eq!(stepped.now(), fast.now());
-    assert_eq!(stepped.snapshot(), fast.snapshot());
-    assert_eq!(
-        stepped.dc_energy_exact_j().to_bits(),
-        fast.dc_energy_exact_j().to_bits(),
-        "exact DC energy must match bit for bit"
-    );
-}
-
-#[test]
-fn fast_forward_defaults_off() {
-    assert!(!NodeConfig::sd530_6148().fast_forward);
-    assert!(!NodeConfig::gpu_node_6142m().fast_forward);
 }

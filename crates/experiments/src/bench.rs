@@ -3,7 +3,7 @@
 //! The zero-dependency suite behind `earsim bench`, which the CI smoke job
 //! runs everywhere. It times the structures the per-event hot path
 //! touches — DynAIS sampling (incremental vs the reference eager
-//! detector), window indexing, counter snapshots, quantum fast-forward,
+//! detector), window indexing, counter snapshots, the settled-phase jump,
 //! the trace bus dark vs live — plus the Table I wall clock, and renders
 //! the results as both a human-readable table and the
 //! `BENCH_hotpath.json` artifact.
@@ -314,9 +314,10 @@ fn bench_snapshot(quick: bool) -> BenchEntry {
     }
 }
 
-/// One simulated second of settled spin: quantum stepping walks a hundred
-/// 10 ms intervals; fast-forward integrates the remainder in one step.
-fn bench_fast_forward(quick: bool) -> BenchEntry {
+/// One simulated second of settled spin: the stepping oracle walks a
+/// hundred 10 ms quanta; the shipped `run_phase` steps until the firmware
+/// UFS settles, then jumps the rest bit-exactly.
+fn bench_settled_jump(quick: bool) -> BenchEntry {
     let n = if quick { 200 } else { 2_000 };
     let spin = PhaseDemand {
         active_cores: 40,
@@ -328,16 +329,14 @@ fn bench_fast_forward(quick: bool) -> BenchEntry {
     let mut stepped = Node::new(NodeConfig::sd530_6148(), 1);
     let t_ref = best_secs(3, || {
         for _ in 0..n {
-            black_box(stepped.run_phase(&spin));
+            black_box(stepped.run_phase_stepped(&spin));
         }
     }) / n as f64;
 
-    let mut cfg = NodeConfig::sd530_6148();
-    cfg.fast_forward = true;
-    let mut ff = Node::new(cfg, 1);
+    let mut jumped = Node::new(NodeConfig::sd530_6148(), 1);
     let t_opt = best_secs(3, || {
         for _ in 0..n {
-            black_box(ff.run_phase(&spin));
+            black_box(jumped.run_phase(&spin));
         }
     }) / n as f64;
 
@@ -998,7 +997,7 @@ fn bench_fitted_policy_decide(quick: bool) -> BenchEntry {
 
 /// Host cost of one simulated second on a node with a binding RAPL PL1
 /// armed: the shipped limiter in [`ear_archsim::Node`] updates its window
-/// estimate and throttle every quantum, and fast-forward stays off. No
+/// estimate and throttle every quantum, so no quantum is jumped. No
 /// in-process reference: armed vs disarmed is a tax, not a race. Before
 /// anything is timed, the limit is programmed through the MSR write path
 /// and must record throttle events on the live node.
@@ -1265,7 +1264,7 @@ pub fn run(quick: bool) -> BenchReport {
             bench_dynais_aperiodic(quick),
             bench_window(quick),
             bench_snapshot(quick),
-            bench_fast_forward(quick),
+            bench_settled_jump(quick),
             bench_uncore_domain_step(quick),
             bench_trace_emit(quick),
             bench_job_step(quick),

@@ -323,8 +323,7 @@ pub struct EngineConfig {
     /// Tasks a worker claims per queue operation (0 or 1 = one at a
     /// time). Grid sweeps batch adjacent cells so one worker walks a
     /// contiguous frequency band: node/MSR setup amortises and the
-    /// archsim quantum fast-forward path stays hot between neighbouring
-    /// cells. Results are bit-identical to unbatched runs — outcomes are
+    /// archsim stepping path stays hot between neighbouring cells. Results are bit-identical to unbatched runs — outcomes are
     /// slot-indexed and seeds depend only on `(base_seed, cell, run)`.
     pub batch: usize,
     /// Schedule pending cells in result-cache-key order instead of input

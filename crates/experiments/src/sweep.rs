@@ -13,8 +13,7 @@
 //! * **Batched cell claims.** Workers claim one uncore row of the grid
 //!   per queue operation ([`EngineConfig::with_batch`]): adjacent cells
 //!   run back to back under one permit, amortising setup and keeping the
-//!   archsim quantum fast-forward path hot between neighbouring
-//!   frequencies.
+//!   archsim stepping path hot between neighbouring frequencies.
 //! * **Cache-key scheduling.** Pending cells are ordered by their
 //!   persistent result-cache key ([`EngineConfig::key_ordered`]), so a
 //!   re-sweep or partial sweep probes and refills the cache in write
