@@ -20,8 +20,7 @@
 //!   the PMPI interception interface.
 //! * [`manager`] — frequency actuation through MSR writes.
 //! * [`protocol`] — the typed EARL↔EARD↔EARGM message protocol.
-//! * [`eard`] / [`eargm`] — the node daemon (sole MSR-writing layer) and
-//!   the cluster energy manager.
+//! * [`eard`] — the node daemon (sole MSR-writing layer).
 //! * [`accounting`] / [`powercap`] — EAR's accounting and energy-control
 //!   services.
 
@@ -30,7 +29,6 @@
 pub mod accounting;
 pub mod conf;
 pub mod eard;
-pub mod eargm;
 pub mod earl;
 pub mod fit;
 pub mod manager;
@@ -47,7 +45,6 @@ pub use conf::{parse_ear_conf, render_ear_conf, ConfError};
 pub use ear_archsim::MAX_UNCORE_DOMAINS;
 pub use ear_errors::{EarError, EarResult};
 pub use eard::EarDaemon;
-pub use eargm::{ClusterEnergyManager, GmStep};
 pub use earl::{Earl, EarlConfig};
 pub use fit::{fit_poly2, residuals, FitResidual, FittedSurface, Poly2};
 pub use models::{

@@ -4,8 +4,8 @@
 //! [`EargmPoller`] owns one [`NetClient`] per node daemon. Each poll round
 //! asks every daemon for its [`GmReport`], redistributes the cluster
 //! budget over the reported demand with the same
-//! [`ear_core::powercap::distribute_budget`] the in-process manager uses,
-//! and pushes one [`GmCommand`] per node. Fan-out concurrency is governed
+//! [`ear_core::powercap::distribute_budget`] the aggregation tree and the
+//! job stream's rebalance use, and pushes one [`GmCommand`] per node. Fan-out concurrency is governed
 //! by the process-global permit pool (`ear_mpisim::permits`) through the
 //! RAII [`PermitGuard`](ear_mpisim::PermitGuard), so a poller sharing a
 //! process with the experiment engine cannot oversubscribe the machine —

@@ -128,13 +128,6 @@ pub enum TraceEvent {
         /// The controller action (`ok`, `throttled`, `relaxed`).
         action: String,
     },
-    /// The cluster energy manager redistributed the cluster budget.
-    GmStep {
-        /// Cluster power at evaluation time in watts.
-        cluster_power_w: f64,
-        /// Cluster budget in watts.
-        budget_w: f64,
-    },
     /// A connection-lifecycle event on the networked daemon server.
     NetConn {
         /// What happened (`accepted`, `rejected`, `closed`, `error`).
@@ -163,7 +156,6 @@ impl TraceEvent {
             TraceEvent::FreqGrant { .. } => "freq_grant",
             TraceEvent::DaemonClamp { .. } => "daemon_clamp",
             TraceEvent::PowercapVerdict { .. } => "powercap",
-            TraceEvent::GmStep { .. } => "gm_step",
             TraceEvent::NetConn { .. } => "net_conn",
             TraceEvent::NetRequest { .. } => "net_request",
         }
@@ -337,15 +329,6 @@ pub fn to_json(record: &TraceRecord) -> String {
             out.push_str(",\"action\":");
             push_json_str(&mut out, action);
         }
-        TraceEvent::GmStep {
-            cluster_power_w,
-            budget_w,
-        } => {
-            out.push_str(",\"cluster_power_w\":");
-            push_json_f64(&mut out, *cluster_power_w);
-            out.push_str(",\"budget_w\":");
-            push_json_f64(&mut out, *budget_w);
-        }
         TraceEvent::NetConn { action } => {
             out.push_str(",\"action\":");
             push_json_str(&mut out, action);
@@ -458,10 +441,6 @@ fn record_from_fields(fields: Fields) -> Result<TraceRecord, String> {
         "powercap" => TraceEvent::PowercapVerdict {
             power_w: fields.num("power_w")?,
             action: fields.str("action")?,
-        },
-        "gm_step" => TraceEvent::GmStep {
-            cluster_power_w: fields.num("cluster_power_w")?,
-            budget_w: fields.num("budget_w")?,
         },
         "net_conn" => TraceEvent::NetConn {
             action: fields.str("action")?,
@@ -576,14 +555,6 @@ mod tests {
                 event: TraceEvent::PowercapVerdict {
                     power_w: 312.832_251,
                     action: "throttled".into(),
-                },
-            },
-            TraceRecord {
-                time_s: 30.0,
-                node: 0,
-                event: TraceEvent::GmStep {
-                    cluster_power_w: 1204.5,
-                    budget_w: 1100.0,
                 },
             },
             TraceRecord {
