@@ -22,7 +22,7 @@ use std::time::Instant;
 pub const SCHEMA: &str = "earsim-bench-hotpath/v1";
 
 /// Bench names that must appear in a valid artifact.
-pub const REQUIRED_BENCHES: [&str; 19] = [
+pub const REQUIRED_BENCHES: [&str; 17] = [
     "dynais_inloop_per_sample",
     "dynais_aperiodic_per_sample",
     "window_push_recent",
@@ -33,8 +33,6 @@ pub const REQUIRED_BENCHES: [&str; 19] = [
     "mpi_job_step_parallel",
     "mpi_break_even",
     "frame_codec_roundtrip",
-    "netd_uds_rtt",
-    "netd_async_rtt",
     "eargm_tree_fanout",
     "sweep_grid_wall",
     "fitted_policy_decide",
@@ -45,11 +43,9 @@ pub const REQUIRED_BENCHES: [&str; 19] = [
 ];
 
 /// Rows exempt from the sub-1.0 speedup gate of [`verify_speedups`].
-/// Currently empty: every row with a reference measures an old
-/// implementation the shipped one must beat. (`netd_uds_rtt` lived here
-/// while its reference was read as a transport floor; measured numbers
-/// showed the UDS path beating the pipe outright, so the exemption was
-/// retired.)
+/// Empty: every row with a reference times shipped code or a test oracle
+/// the measured path must beat, so a row reading below 1.0 is a
+/// regression, never an expected floor.
 pub const SPEEDUP_ALLOWLIST: [&str; 0] = [];
 
 /// One timed hot-path measurement.
@@ -630,136 +626,13 @@ fn bench_frame_codec(quick: bool) -> BenchEntry {
     }
 }
 
-/// Ping round-trip time through the full daemon server loop over a Unix
-/// socket. `reference` is the same exchange over the in-memory pipe — the
-/// transport floor with zero kernel in the path — so the "speedup" column
-/// reads as how much of the UDS RTT is kernel socket cost.
-fn bench_netd_rtt(quick: bool) -> BenchEntry {
-    use ear_netd::{client, conn, server};
-    use std::time::Duration;
-
-    // Now that this row is speedup-gated (the allowlist exemption is
-    // retired), the quick window must be long enough that one lucky
-    // scheduling streak cannot dominate the best-of-N minimum: 300 pings
-    // (~1.3 ms) flaked, 1500 is stable.
-    let n = if quick { 1_500 } else { 3_000 };
-    let cfg = || server::ServerConfig {
-        read_timeout: Duration::from_secs(10),
-        ..Default::default()
-    };
-    let client_cfg = client::ClientConfig {
-        request_timeout: Duration::from_secs(10),
-        ..Default::default()
-    };
-
-    // Transport floor: the in-memory pipe.
-    let (listener, endpoint) = conn::NetListener::in_memory();
-    let handle = server::spawn(listener, cfg());
-    let mut c = client::NetClient::new(endpoint, client_cfg.clone());
-    must(c.ping(0), "pipe warmup ping"); // connection + first-exchange warmup
-    let t_pipe = best_secs(3, || {
-        for i in 0..n {
-            must(c.ping(i as u64), "pipe ping");
-        }
-    }) / n as f64;
-    must(c.shutdown(), "pipe shutdown");
-    if handle.join().is_err() {
-        panic!("bench harness: pipe server thread panicked");
-    }
-
-    // The measured path: a real Unix-domain socket.
-    let path = std::env::temp_dir().join(format!("earsim-bench-rtt-{}.sock", std::process::id()));
-    let spec = path.to_string_lossy().to_string();
-    let listener = must(conn::NetListener::bind(&spec), "bind");
-    let handle = server::spawn(listener, cfg());
-    let mut c = client::NetClient::new(conn::Endpoint::parse(&spec), client_cfg);
-    must(c.ping(0), "uds warmup ping");
-    let t_uds = best_secs(3, || {
-        for i in 0..n {
-            must(c.ping(i as u64), "uds ping");
-        }
-    }) / n as f64;
-    must(c.shutdown(), "uds shutdown");
-    if handle.join().is_err() {
-        panic!("bench harness: uds server thread panicked");
-    }
-
-    BenchEntry {
-        name: "netd_uds_rtt",
-        unit: "us/rtt",
-        reference: Some(t_pipe * 1e6),
-        optimized: t_uds * 1e6,
-    }
-}
-
-/// Concurrent service time over a Unix socket: 32 closed-loop loadgen
-/// clients hammer the daemon and the row reports mean microseconds per
-/// served request (aggregate: client-seconds divided by requests).
-/// `reference` is the PR-5 blocking thread-per-connection server, whose
-/// shared-service mutex serialises every request; `optimized` is the
-/// nonblocking readiness loop, which owns the service outright and batches
-/// reply flushes. Same codec, same socket, same client mix.
-fn bench_netd_async_rtt(quick: bool) -> BenchEntry {
-    use ear_netd::{conn, loadgen, server};
-    use std::time::Duration;
-
-    let clients = 32;
-    let lg_cfg = loadgen::LoadgenConfig {
-        clients,
-        duration: if quick {
-            Duration::from_millis(300)
-        } else {
-            Duration::from_secs(2)
-        },
-        shutdown_after: true,
-        ..Default::default()
-    };
-    let srv_cfg = || server::ServerConfig {
-        workers: clients + 8,
-        read_timeout: Duration::from_secs(10),
-        ..Default::default()
-    };
-    let drive =
-        |tag: &str, spawn: fn(conn::NetListener, server::ServerConfig) -> server::ServerHandle| {
-            let path = std::env::temp_dir().join(format!(
-                "earsim-bench-async-{tag}-{}.sock",
-                std::process::id()
-            ));
-            let spec = path.to_string_lossy().to_string();
-            let listener = must(conn::NetListener::bind(&spec), "bind");
-            let handle = spawn(listener, srv_cfg());
-            let report = must(
-                loadgen::run(&conn::Endpoint::parse(&spec), &lg_cfg),
-                "loadgen",
-            );
-            if handle.join().is_err() {
-                panic!("bench harness: {tag} server thread panicked");
-            }
-            let _ = std::fs::remove_file(&path);
-            assert_eq!(report.errors, 0, "{tag} loadgen saw errors");
-            // Mean service time seen by one client: its dial-excluded active
-            // seconds divided by its share of the requests.
-            clients as f64 * report.active_seconds / report.requests as f64
-        };
-
-    let t_blocking = drive("blocking", server::spawn);
-    let t_async = drive("async", server::spawn_async);
-
-    BenchEntry {
-        name: "netd_async_rtt",
-        unit: "us/req",
-        reference: Some(t_blocking * 1e6),
-        optimized: t_async * 1e6,
-    }
-}
-
 /// One EARGM management round over 64 node daemons: poll every power
 /// report, redistribute the budget, push and verify every cap.
-/// `reference` is the flat PR-5 [`EargmPoller`] — one blocking client per
-/// daemon, each served by its own thread-per-connection server over the
-/// in-memory pipe. `optimized` is one aggregation-tree round of the
-/// cluster scenario: the same protocol frames, folded level by level
-/// through in-process daemons with no threads or pipes in the path.
+/// `reference` is the flat [`EargmPoller`] — one blocking client per
+/// daemon, each daemon a readiness-loop server on its own Unix socket.
+/// `optimized` is one aggregation-tree round of the cluster scenario: the
+/// same protocol frames, folded level by level through in-process daemons
+/// with no threads or sockets in the path.
 fn bench_eargm_tree_fanout(quick: bool) -> BenchEntry {
     use ear_netd::{client, cluster, conn, poller, server};
     use std::time::Duration;
@@ -769,19 +642,26 @@ fn bench_eargm_tree_fanout(quick: bool) -> BenchEntry {
     let rounds = if quick { 3 } else { 20 };
     let reps = if quick { 2 } else { 3 };
 
-    // Flat reference: 64 blocking daemons behind in-memory pipes.
+    // Flat reference: 64 daemons, each behind its own Unix socket.
     let mut endpoints = Vec::new();
     let mut handles = Vec::new();
-    for _ in 0..nodes {
-        let (listener, endpoint) = conn::NetListener::in_memory();
-        handles.push(server::spawn(
+    for node in 0..nodes {
+        let spec = std::env::temp_dir()
+            .join(format!(
+                "earsim-bench-eargm-{}-{node}.sock",
+                std::process::id()
+            ))
+            .to_string_lossy()
+            .to_string();
+        let listener = must(conn::NetListener::bind(&spec), "bind");
+        handles.push(server::spawn_async(
             listener,
             server::ServerConfig {
                 read_timeout: Duration::from_secs(10),
                 ..Default::default()
             },
         ));
-        endpoints.push(endpoint);
+        endpoints.push(conn::Endpoint::parse(&spec));
     }
     let client_cfg = client::ClientConfig {
         request_timeout: Duration::from_secs(10),
@@ -1270,8 +1150,6 @@ pub fn run(quick: bool) -> BenchReport {
             bench_job_step(quick),
             bench_break_even(),
             bench_frame_codec(quick),
-            bench_netd_rtt(quick),
-            bench_netd_async_rtt(quick),
             bench_eargm_tree_fanout(quick),
             bench_sweep_grid_wall(quick),
             bench_fitted_policy_decide(quick),
@@ -1521,7 +1399,7 @@ mod tests {
 
     #[test]
     fn speedup_gate_counts_the_gated_rows() {
-        // 19 required rows minus the 5 null references; the allowlist is
+        // 17 required rows minus the 5 null references; the allowlist is
         // empty, so every row with a reference is gated.
         assert_eq!(
             verify_speedups(&sample_json()),
@@ -1551,23 +1429,6 @@ mod tests {
         let err = verify_speedups(&report.to_json()).unwrap_err();
         assert!(err.contains("window_push_recent"), "{err}");
         assert!(!err.contains("dynais_inloop_per_sample"), "{err}");
-    }
-
-    #[test]
-    fn speedup_gate_covers_the_formerly_allowlisted_row() {
-        // netd_uds_rtt lost its exemption: a sub-1.0 speedup there is a
-        // regression like anywhere else.
-        let report = BenchReport {
-            quick: true,
-            benches: vec![BenchEntry {
-                name: "netd_uds_rtt",
-                unit: "us/rtt",
-                reference: Some(5.0),
-                optimized: 10.0,
-            }],
-        };
-        let err = verify_speedups(&report.to_json()).unwrap_err();
-        assert!(err.contains("netd_uds_rtt"), "{err}");
     }
 
     #[test]

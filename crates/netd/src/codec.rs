@@ -636,9 +636,10 @@ pub fn is_deadline_error(e: &EarError) -> bool {
     matches!(e, EarError::Protocol(m) if m.ends_with("deadline exceeded"))
 }
 
-/// Whether an I/O error is a read/write deadline expiry. Both classifier
-/// kinds appear in practice: `WouldBlock` from sockets with SO_RCVTIMEO on
-/// Linux, `TimedOut` from the in-memory pipe and other platforms.
+/// Whether an I/O error is a read/write deadline expiry (or, on a
+/// nonblocking socket, "nothing to do yet"). Both kinds appear in
+/// practice: `WouldBlock` from sockets with SO_RCVTIMEO on Linux and from
+/// nonblocking sockets, `TimedOut` on other platforms.
 pub fn is_timeout(e: &std::io::Error) -> bool {
     matches!(
         e.kind(),

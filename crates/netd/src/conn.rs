@@ -1,17 +1,17 @@
 //! Transport-agnostic connections and listeners.
 //!
-//! The daemon serves — and the client library dials — three transports
-//! behind one pair of enums: Unix-domain sockets (the production node-local
-//! path), TCP (cross-node EARGM traffic) and the in-memory [`crate::pipe`](mod@crate::pipe)
-//! (deterministic tests, transport-floor benchmarks). `earsim serve
-//! --socket` strings map to the first two: an address containing `:` is
-//! TCP, anything else is a Unix socket path.
+//! The daemon serves — and the client library dials — two kernel socket
+//! transports behind one pair of enums: Unix-domain sockets (the
+//! production node-local path, EARL to its EARD) and TCP (cross-node
+//! EARGM traffic). Both expose a descriptor the readiness loop's
+//! `poll(2)` sleeps on. `earsim serve --socket` strings map to them: an
+//! address containing `:` is TCP, anything else is a Unix socket path.
 
 use crate::codec::{self, WireMsg};
-use crate::pipe::{MemConnector, MemListener, PipeEnd};
 use ear_errors::{EarError, EarResult};
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::unix::fs::FileTypeExt;
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
@@ -24,8 +24,6 @@ pub enum Endpoint {
     Tcp(String),
     /// Unix-domain socket path.
     Unix(PathBuf),
-    /// In-memory transport (tests, benchmarks).
-    Mem(MemConnector),
 }
 
 impl std::fmt::Debug for Endpoint {
@@ -33,7 +31,6 @@ impl std::fmt::Debug for Endpoint {
         match self {
             Endpoint::Tcp(addr) => write!(f, "tcp:{addr}"),
             Endpoint::Unix(path) => write!(f, "unix:{}", path.display()),
-            Endpoint::Mem(_) => write!(f, "mem"),
         }
     }
 }
@@ -76,50 +73,40 @@ impl Endpoint {
             Endpoint::Unix(path) => UnixStream::connect(path)
                 .map(NetConn::Unix)
                 .map_err(|e| codec::io_to_ear(&format!("connect {}", path.display()), &e)),
-            Endpoint::Mem(connector) => connector
-                .connect()
-                .map(NetConn::Mem)
-                .map_err(|e| codec::io_to_ear("connect mem", &e)),
         }
     }
 }
 
-/// A listening socket in any transport.
+/// A nonblocking listening socket.
 pub enum NetListener {
-    /// TCP listener (non-blocking; polled by [`NetListener::accept_timeout`]).
+    /// TCP listener.
     Tcp(TcpListener),
-    /// Unix-domain listener (non-blocking).
+    /// Unix-domain listener and the path it owns (removed on drop).
     Unix(UnixListener, PathBuf),
-    /// In-memory listener.
-    Mem(MemListener),
 }
 
 impl NetListener {
     /// Binds the endpoint described by a `--socket` string.
+    ///
+    /// A Unix path still holding a socket (a previous unclean exit leaves
+    /// its socket file behind, which would make bind fail forever) is
+    /// replaced; any other file at the path is left alone and the bind
+    /// fails with [`EarError::Io`].
     pub fn bind(spec: &str) -> EarResult<NetListener> {
-        if spec.contains(':') {
+        let listener = if spec.contains(':') {
             let l = TcpListener::bind(spec)
                 .map_err(|e| codec::io_to_ear(&format!("bind tcp {spec}"), &e))?;
-            l.set_nonblocking(true)
-                .map_err(|e| codec::io_to_ear("set_nonblocking", &e))?;
-            Ok(NetListener::Tcp(l))
+            l.set_nonblocking(true).map(|()| NetListener::Tcp(l))
         } else {
             let path = PathBuf::from(spec);
-            // A previous unclean exit leaves the socket file behind; a
-            // stale file would make bind fail forever.
-            let _ = std::fs::remove_file(&path);
+            if std::fs::symlink_metadata(&path).is_ok_and(|m| m.file_type().is_socket()) {
+                let _ = std::fs::remove_file(&path);
+            }
             let l = UnixListener::bind(&path)
                 .map_err(|e| codec::io_to_ear(&format!("bind unix {spec}"), &e))?;
-            l.set_nonblocking(true)
-                .map_err(|e| codec::io_to_ear("set_nonblocking", &e))?;
-            Ok(NetListener::Unix(l, path))
-        }
-    }
-
-    /// Creates an in-memory listener plus the endpoint clients dial.
-    pub fn in_memory() -> (NetListener, Endpoint) {
-        let (listener, connector) = crate::pipe::mem_channel();
-        (NetListener::Mem(listener), Endpoint::Mem(connector))
+            l.set_nonblocking(true).map(|()| NetListener::Unix(l, path))
+        };
+        listener.map_err(|e| codec::io_to_ear("set_nonblocking", &e))
     }
 
     /// A printable description of where this listener listens.
@@ -129,49 +116,32 @@ impl NetListener {
                 .local_addr()
                 .map_or_else(|_| "tcp:?".into(), |a| format!("tcp:{a}")),
             NetListener::Unix(_, path) => format!("unix:{}", path.display()),
-            NetListener::Mem(_) => "mem".into(),
         }
     }
 
-    /// The pollable descriptor of a socket listener (`None` for the
-    /// in-memory transport, which the readiness loop services by
-    /// nonblocking accept instead).
-    pub fn raw_fd(&self) -> Option<RawFd> {
+    /// The descriptor the readiness loop polls for pending connections.
+    pub fn raw_fd(&self) -> RawFd {
         match self {
-            NetListener::Tcp(l) => Some(l.as_raw_fd()),
-            NetListener::Unix(l, _) => Some(l.as_raw_fd()),
-            NetListener::Mem(_) => None,
+            NetListener::Tcp(l) => l.as_raw_fd(),
+            NetListener::Unix(l, _) => l.as_raw_fd(),
         }
     }
 
     /// Accepts one pending connection without blocking; `Ok(None)` when
-    /// none is queued. Unlike [`NetListener::accept_timeout`] the returned
-    /// connection is left in nonblocking mode — the readiness loop owns
-    /// its scheduling from here on.
+    /// none is queued. The returned connection is nonblocking too — the
+    /// readiness loop owns its scheduling from here on.
     pub fn accept_nonblocking(&self) -> EarResult<Option<NetConn>> {
         let got = match self {
-            NetListener::Tcp(l) => match l.accept() {
-                Ok((s, _)) => {
-                    let _ = s.set_nodelay(true);
-                    Ok(Some(NetConn::Tcp(s)))
-                }
-                Err(e) => Err(e),
-            },
-            NetListener::Unix(l, _) => match l.accept() {
-                Ok((s, _)) => Ok(Some(NetConn::Unix(s))),
-                Err(e) => Err(e),
-            },
-            NetListener::Mem(l) => match l.accept_timeout(Duration::ZERO) {
-                Ok(conn) => Ok(conn.map(NetConn::Mem)),
-                Err(e) => Err(e),
-            },
+            NetListener::Tcp(l) => l.accept().and_then(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                s.set_nonblocking(true).map(|()| NetConn::Tcp(s))
+            }),
+            NetListener::Unix(l, _) => l
+                .accept()
+                .and_then(|(s, _)| s.set_nonblocking(true).map(|()| NetConn::Unix(s))),
         };
         match got {
-            Ok(Some(mut conn)) => {
-                conn.set_nonblocking()?;
-                Ok(Some(conn))
-            }
-            Ok(None) => Ok(None),
+            Ok(conn) => Ok(Some(conn)),
             Err(e)
                 if matches!(
                     e.kind(),
@@ -181,45 +151,6 @@ impl NetListener {
                 Ok(None)
             }
             Err(e) => Err(codec::io_to_ear("accept", &e)),
-        }
-    }
-
-    /// Waits up to `timeout` for one connection; `Ok(None)` on timeout.
-    /// Socket transports poll in small slices so a shutdown flag checked
-    /// between calls stays responsive.
-    pub fn accept_timeout(&self, timeout: Duration) -> EarResult<Option<NetConn>> {
-        match self {
-            NetListener::Mem(l) => match l.accept_timeout(timeout) {
-                Ok(conn) => Ok(conn.map(NetConn::Mem)),
-                Err(e) => Err(codec::io_to_ear("accept mem", &e)),
-            },
-            _ => {
-                let deadline = std::time::Instant::now() + timeout;
-                loop {
-                    let got = match self {
-                        NetListener::Tcp(l) => l.accept().map(|(s, _)| {
-                            let _ = s.set_nodelay(true);
-                            NetConn::Tcp(s)
-                        }),
-                        NetListener::Unix(l, _) => l.accept().map(|(s, _)| NetConn::Unix(s)),
-                        NetListener::Mem(_) => unreachable!("handled above"),
-                    };
-                    match got {
-                        Ok(conn) => {
-                            conn.set_blocking()?;
-                            return Ok(Some(conn));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                            if std::time::Instant::now() >= deadline {
-                                return Ok(None);
-                            }
-                            std::thread::sleep(Duration::from_millis(5));
-                        }
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                        Err(e) => return Err(codec::io_to_ear("accept", &e)),
-                    }
-                }
-            }
         }
     }
 }
@@ -232,74 +163,37 @@ impl Drop for NetListener {
     }
 }
 
-/// One established connection in any transport.
+/// One established connection in either transport.
 pub enum NetConn {
     /// TCP stream.
     Tcp(TcpStream),
     /// Unix-domain stream.
     Unix(UnixStream),
-    /// In-memory pipe end.
-    Mem(PipeEnd),
 }
 
 impl NetConn {
-    /// Applies per-connection read/write deadlines. The in-memory pipe
-    /// never blocks on write (unbounded buffer), so only its read deadline
-    /// is real.
+    /// Applies per-connection read/write deadlines.
     pub fn set_io_timeouts(
         &mut self,
         read: Option<Duration>,
         write: Option<Duration>,
     ) -> EarResult<()> {
-        let apply = |r: io::Result<()>| r.map_err(|e| codec::io_to_ear("set timeout", &e));
-        match self {
-            NetConn::Tcp(s) => {
-                apply(s.set_read_timeout(read))?;
-                apply(s.set_write_timeout(write))
-            }
-            NetConn::Unix(s) => {
-                apply(s.set_read_timeout(read))?;
-                apply(s.set_write_timeout(write))
-            }
-            NetConn::Mem(p) => {
-                p.set_read_timeout(read);
-                Ok(())
-            }
-        }
-    }
-
-    fn set_blocking(&self) -> EarResult<()> {
         let r = match self {
-            NetConn::Tcp(s) => s.set_nonblocking(false),
-            NetConn::Unix(s) => s.set_nonblocking(false),
-            NetConn::Mem(_) => Ok(()),
+            NetConn::Tcp(s) => s
+                .set_read_timeout(read)
+                .and_then(|()| s.set_write_timeout(write)),
+            NetConn::Unix(s) => s
+                .set_read_timeout(read)
+                .and_then(|()| s.set_write_timeout(write)),
         };
-        r.map_err(|e| codec::io_to_ear("set_blocking", &e))
+        r.map_err(|e| codec::io_to_ear("set timeout", &e))
     }
 
-    /// Puts the connection in nonblocking mode: reads and writes return
-    /// `WouldBlock` (sockets) / `TimedOut` (the in-memory pipe, via a zero
-    /// read deadline) instead of parking the thread.
-    pub fn set_nonblocking(&mut self) -> EarResult<()> {
-        let r = match self {
-            NetConn::Tcp(s) => s.set_nonblocking(true),
-            NetConn::Unix(s) => s.set_nonblocking(true),
-            NetConn::Mem(p) => {
-                p.set_read_timeout(Some(Duration::ZERO));
-                Ok(())
-            }
-        };
-        r.map_err(|e| codec::io_to_ear("set_nonblocking", &e))
-    }
-
-    /// The pollable descriptor (`None` for the in-memory pipe; the
-    /// readiness loop services those by nonblocking reads every
-    /// iteration instead of registering them with the kernel).
-    pub fn raw_fd(&self) -> Option<RawFd> {
+    /// The descriptor the readiness loop polls.
+    pub fn raw_fd(&self) -> RawFd {
         match self {
-            NetConn::Tcp(s) => Some(s.as_raw_fd()),
-            NetConn::Unix(s) => Some(s.as_raw_fd()),
-            NetConn::Mem(_) => None,
+            NetConn::Tcp(s) => s.as_raw_fd(),
+            NetConn::Unix(s) => s.as_raw_fd(),
         }
     }
 
@@ -319,7 +213,6 @@ impl Read for NetConn {
         match self {
             NetConn::Tcp(s) => s.read(buf),
             NetConn::Unix(s) => s.read(buf),
-            NetConn::Mem(p) => p.read(buf),
         }
     }
 }
@@ -329,7 +222,6 @@ impl Write for NetConn {
         match self {
             NetConn::Tcp(s) => s.write(buf),
             NetConn::Unix(s) => s.write(buf),
-            NetConn::Mem(p) => p.write(buf),
         }
     }
 
@@ -337,7 +229,39 @@ impl Write for NetConn {
         match self {
             NetConn::Tcp(s) => s.flush(),
             NetConn::Unix(s) => s.flush(),
-            NetConn::Mem(p) => p.flush(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn temp_path(tag: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("earsim-conn-{tag}-{}", std::process::id()))
+    }
+
+    #[test]
+    fn bind_over_a_regular_file_fails_and_keeps_its_bytes() {
+        let path = temp_path("regular");
+        std::fs::write(&path, b"not a socket\n").expect("write file");
+        let spec = path.to_str().expect("utf-8 temp path");
+        let err = NetListener::bind(spec).err().expect("bind must fail");
+        assert!(matches!(err, EarError::Io { .. }), "{err}");
+        assert_eq!(std::fs::read(&path).expect("file kept"), b"not a socket\n");
+        std::fs::remove_file(&path).expect("cleanup");
+    }
+
+    #[test]
+    fn bind_replaces_a_stale_socket() {
+        let path = temp_path("stale");
+        // std's listener leaves its socket file behind when dropped, like
+        // a daemon that exited uncleanly.
+        drop(UnixListener::bind(&path).expect("first bind"));
+        assert!(path.exists());
+        let listener = NetListener::bind(path.to_str().expect("utf-8 temp path"))
+            .expect("a stale socket is replaced");
+        drop(listener);
+        assert!(!path.exists(), "the listener removes its socket on drop");
     }
 }

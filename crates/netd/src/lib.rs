@@ -9,14 +9,11 @@
 //!   `ear-core` protocol types: explicit little-endian fields, `f64`
 //!   bit-pattern round-tripping, a hard frame-size limit and typed decode
 //!   errors (never a panic on hostile bytes).
-//! - [`pipe`](mod@pipe) — an in-memory byte-stream transport with real deadline and
-//!   EOF semantics, so every networked code path is testable
-//!   deterministically without touching the kernel.
-//! - [`conn`] — Unix-domain, TCP and in-memory transports behind one
+//! - [`conn`] — the Unix-domain and TCP transports behind one
 //!   listener/connection pair.
 //! - [`server`] — the EARD service loop: a pure request state machine
-//!   ([`EardService`]) behind a bounded, deadline-guarded connection
-//!   server with poison-frame shutdown.
+//!   ([`EardService`]) behind one nonblocking, `poll(2)`-driven server
+//!   with bounded connections, deadlines and poison-frame shutdown.
 //! - [`client`] — deadline-guarded requests with bounded jittered-backoff
 //!   retries.
 //! - [`poller`] — the EARGM side: permit-governed fan-out over N daemons,
@@ -24,7 +21,7 @@
 //! - [`loadgen`] — the closed-loop load generator behind `earsim loadgen`,
 //!   with a fixed-bucket latency histogram.
 //! - [`readiness`] — a dependency-free `poll(2)` wrapper; the one kernel
-//!   primitive the nonblocking server loop needs.
+//!   primitive the server loop needs.
 //! - [`cluster`] — `earsim cluster`: thousands of in-process simulated
 //!   daemons behind an EARGM aggregation tree, all traffic through the
 //!   real codec.
@@ -39,7 +36,6 @@ pub mod cluster;
 pub mod codec;
 pub mod conn;
 pub mod loadgen;
-pub mod pipe;
 pub mod poller;
 pub mod readiness;
 pub mod server;
@@ -49,6 +45,5 @@ pub use cluster::{ClusterConfig, ClusterReport, SimCluster};
 pub use codec::{FrameBuffer, WireMsg, HEADER_LEN, MAGIC, MAX_PAYLOAD, VERSION};
 pub use conn::{Endpoint, NetConn, NetListener};
 pub use loadgen::{LatencyHistogram, LoadReport, LoadgenConfig};
-pub use pipe::{mem_channel, pipe, MemConnector, MemListener, PipeEnd};
 pub use poller::{EargmPoller, PollRound};
 pub use server::{EardConfig, EardService, ServerConfig, ServerHandle, ServerReport};

@@ -35,8 +35,8 @@ pub const POLLNVAL: i16 = 0x020;
 #[derive(Debug, Clone, Copy)]
 pub struct PollFd {
     /// The descriptor to watch (a negative fd is ignored by the kernel,
-    /// which is how unpollable slots keep index parity with the caller's
-    /// connection table).
+    /// which is how slots with no interest keep index parity with the
+    /// caller's connection table).
     pub fd: RawFd,
     /// Requested events ([`POLLIN`] | [`POLLOUT`]).
     pub events: i16,

@@ -3,15 +3,12 @@
 //!
 //! [`EardService`] is the pure part — one wire message in, one wire message
 //! out, no clocks and no I/O — so the same request stream produces
-//! byte-identical replies whether it arrives over a Unix socket, TCP or the
-//! in-memory pipe. Two transports wrap it with identical protocol
-//! semantics: the original blocking server ([`run`]; thread per connection
-//! on a bounded pool, kept as the timed reference for the `netd_async_rtt`
-//! bench) and the nonblocking readiness-loop server ([`run_async`]; one
-//! thread, `poll(2)`-driven, per-connection state machines with zero-copy
-//! frame decode and batched reply flushes). Both accept connections on any
-//! [`NetListener`], answer [`WireMsg::Error`] and close when saturated,
-//! apply per-connection read/write deadlines, and exit cleanly on the
+//! byte-identical replies whether it arrives over a Unix socket or TCP.
+//! The readiness-loop server ([`run_async`]) wraps it: one thread,
+//! `poll(2)`-driven, per-connection state machines with zero-copy frame
+//! decode and batched reply flushes. It accepts connections on a
+//! [`NetListener`], answers [`WireMsg::Error`] and closes when saturated,
+//! collects connections idle past their read deadline, and exits cleanly on the
 //! [`WireMsg::Shutdown`] poison frame or an optional wall-clock budget. A
 //! client dying mid-frame degrades to a typed, counted, traced error on
 //! that one connection — never a server crash.
@@ -25,8 +22,6 @@ use ear_errors::EarResult;
 use ear_trace::metrics::{self, Metric};
 use ear_trace::{self as trace, TraceEvent, TraceRecord};
 use std::io::{self, Write};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Daemon behaviour knobs (the deterministic part).
@@ -168,7 +163,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Per-connection read deadline (idle connections are collected).
     pub read_timeout: Duration,
-    /// Per-connection write deadline.
+    /// How long the poison-frame drain waits for queued replies (the
+    /// acknowledgement included) to flush before the server exits.
     pub write_timeout: Duration,
     /// Optional wall-clock budget; the server drains and exits when it
     /// elapses (so an orphaned `earsim serve` cannot run forever in CI).
@@ -203,22 +199,6 @@ pub struct ServerReport {
     pub shutdown_requested: bool,
 }
 
-struct ServerShared {
-    service: Mutex<EardService>,
-    cfg: ServerConfig,
-    shutdown: AtomicBool,
-    active: AtomicUsize,
-    requests: AtomicU64,
-    conn_errors: AtomicU64,
-}
-
-fn lock_service(shared: &ServerShared) -> std::sync::MutexGuard<'_, EardService> {
-    shared
-        .service
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-}
-
 fn emit_conn(node: u64, action: &str) {
     trace::emit_with(|| TraceRecord {
         time_s: 0.0,
@@ -227,131 +207,6 @@ fn emit_conn(node: u64, action: &str) {
             action: action.to_string(),
         },
     });
-}
-
-fn handle_conn(shared: &ServerShared, mut conn: NetConn) {
-    let node = shared.cfg.eard.node;
-    if conn
-        .set_io_timeouts(
-            Some(shared.cfg.read_timeout),
-            Some(shared.cfg.write_timeout),
-        )
-        .is_err()
-    {
-        emit_conn(node, "error");
-        return;
-    }
-    loop {
-        match conn.read_msg() {
-            Ok(None) => {
-                emit_conn(node, "closed");
-                break;
-            }
-            Ok(Some(msg)) => {
-                let (reply, shutdown) = lock_service(shared).respond(&msg);
-                let ok = !matches!(reply, WireMsg::Error { .. });
-                shared.requests.fetch_add(1, Ordering::Relaxed);
-                metrics::add(Metric::NetdRequests, 1);
-                let req = msg.kind();
-                trace::emit_with(|| TraceRecord {
-                    time_s: 0.0,
-                    node,
-                    event: TraceEvent::NetRequest {
-                        req: req.to_string(),
-                        ok,
-                    },
-                });
-                let write = conn.write_msg(&reply);
-                if shutdown {
-                    shared.shutdown.store(true, Ordering::SeqCst);
-                    break;
-                }
-                if write.is_err() {
-                    shared.conn_errors.fetch_add(1, Ordering::Relaxed);
-                    emit_conn(node, "error");
-                    break;
-                }
-            }
-            Err(e) => {
-                // An idle connection hitting its read deadline is
-                // collected, not an error; the client redials on demand.
-                if crate::codec::is_deadline_error(&e) {
-                    metrics::add(Metric::NetdTimedOut, 1);
-                    emit_conn(node, "idle");
-                    break;
-                }
-                // A malformed frame or a peer dying mid-frame: count it,
-                // trace it, best-effort tell the peer, drop the
-                // connection. The server stays up.
-                shared.conn_errors.fetch_add(1, Ordering::Relaxed);
-                metrics::add(Metric::NetdDecodeErrors, 1);
-                emit_conn(node, "error");
-                let _ = conn.write_msg(&WireMsg::Error {
-                    message: e.to_string(),
-                });
-                break;
-            }
-        }
-    }
-}
-
-/// Runs the server until the shutdown poison frame arrives (or the
-/// configured wall-clock budget elapses). Blocking; see [`spawn`] for the
-/// background variant.
-pub fn run(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerReport> {
-    let node = cfg.eard.node;
-    let shared = Arc::new(ServerShared {
-        service: Mutex::new(EardService::new(cfg.eard.clone())),
-        cfg,
-        shutdown: AtomicBool::new(false),
-        active: AtomicUsize::new(0),
-        requests: AtomicU64::new(0),
-        conn_errors: AtomicU64::new(0),
-    });
-    let started = Instant::now();
-    let mut report = ServerReport::default();
-    let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        if let Some(budget) = shared.cfg.max_seconds {
-            if started.elapsed().as_secs_f64() >= budget {
-                break;
-            }
-        }
-        match listener.accept_timeout(Duration::from_millis(50))? {
-            None => {}
-            Some(mut conn) => {
-                if shared.active.load(Ordering::SeqCst) >= shared.cfg.workers {
-                    report.rejected += 1;
-                    metrics::add(Metric::NetdRejected, 1);
-                    emit_conn(node, "rejected");
-                    let _ = conn.set_io_timeouts(None, Some(shared.cfg.write_timeout));
-                    let _ = conn.write_msg(&WireMsg::Error {
-                        message: "server saturated".to_string(),
-                    });
-                    continue;
-                }
-                report.accepted += 1;
-                metrics::add(Metric::NetdAccepted, 1);
-                emit_conn(node, "accepted");
-                shared.active.fetch_add(1, Ordering::SeqCst);
-                let worker_shared = Arc::clone(&shared);
-                handles.push(std::thread::spawn(move || {
-                    handle_conn(&worker_shared, conn);
-                    worker_shared.active.fetch_sub(1, Ordering::SeqCst);
-                }));
-            }
-        }
-        handles.retain(|h| !h.is_finished());
-    }
-    // Drain: handler threads exit on their own (read deadlines bound every
-    // wait), so joining cannot hang indefinitely.
-    for h in handles {
-        let _ = h.join();
-    }
-    report.shutdown_requested = shared.shutdown.load(Ordering::SeqCst);
-    report.requests = shared.requests.load(Ordering::Relaxed);
-    report.conn_errors = shared.conn_errors.load(Ordering::Relaxed);
-    Ok(report)
 }
 
 /// A server running on a background thread.
@@ -370,18 +225,6 @@ impl ServerHandle {
         }
     }
 }
-
-/// Starts [`run`] on a background thread (tests, `earsim loadgen`'s
-/// in-process mode).
-pub fn spawn(listener: NetListener, cfg: ServerConfig) -> ServerHandle {
-    ServerHandle {
-        thread: std::thread::spawn(move || run(listener, cfg)),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The nonblocking readiness-loop server.
-// ---------------------------------------------------------------------------
 
 /// One connection owned by the readiness loop: its transport, the incoming
 /// byte window frames are decoded from in place, and the outgoing byte
@@ -424,10 +267,8 @@ impl AsyncConn {
     }
 }
 
-/// How long the loop sleeps in `poll(2)` when at least one in-memory
-/// connection (no pollable fd) must be serviced by nonblocking reads.
-const MEM_TICK: Duration = Duration::from_millis(1);
-/// How long the loop sleeps when every connection is kernel-pollable.
+/// The longest the loop sleeps in `poll(2)` with nothing ready, which
+/// bounds how late the wall-clock budget and idle deadlines are noticed.
 const IDLE_TICK: Duration = Duration::from_millis(25);
 
 /// Runs the nonblocking readiness-loop server until the shutdown poison
@@ -439,11 +280,9 @@ const IDLE_TICK: Duration = Duration::from_millis(25);
 /// [`FrameBuffer`] (frames decode zero-copy from that window), and every
 /// reply produced in one iteration is coalesced into a single `write` per
 /// connection — the `netd.batched_flushes` telemetry counter counts the writes
-/// that carried more than one frame. Protocol semantics match the blocking
-/// [`run`] exactly: same saturation error frame, same idle-collection
-/// deadline, same mid-frame-kill accounting, same poison-frame drain — so
-/// reply streams stay byte-identical across the two servers and all three
-/// transports.
+/// that carried more than one frame. Every wait is a kernel wait: each
+/// listener and connection has a descriptor, so the loop sleeps in
+/// `poll(2)` until one is ready or a 25 ms idle tick lapses.
 pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerReport> {
     let node = cfg.eard.node;
     let mut service = EardService::new(cfg.eard.clone());
@@ -469,45 +308,32 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
 
         // Interest registration: rebuilt every iteration because write
         // interest flips with buffered output. Index 0 is the listener;
-        // connection `i` lives at `1 + i` (unpollable transports hold an
-        // ignored slot to keep the indices aligned).
+        // connection `i` lives at `1 + i` (a slot with no interest is
+        // ignored by the kernel but keeps the indices aligned).
         fds.clear();
-        let mut have_mem = false;
-        match listener.raw_fd() {
-            Some(fd) if shutdown_at.is_none() => fds.push(PollFd::new(fd, POLLIN)),
-            Some(_) => fds.push(PollFd::ignored()),
-            None => {
-                have_mem = true;
-                fds.push(PollFd::ignored());
-            }
-        }
+        fds.push(if shutdown_at.is_none() {
+            PollFd::new(listener.raw_fd(), POLLIN)
+        } else {
+            PollFd::ignored()
+        });
         for c in &conns {
-            match c.io.raw_fd() {
-                Some(fd) => {
-                    let mut interest = 0i16;
-                    if !c.closing && !c.eof {
-                        interest |= POLLIN;
-                    }
-                    if c.pending() {
-                        interest |= POLLOUT;
-                    }
-                    fds.push(if interest != 0 {
-                        PollFd::new(fd, interest)
-                    } else {
-                        PollFd::ignored()
-                    });
-                }
-                None => {
-                    have_mem = true;
-                    fds.push(PollFd::ignored());
-                }
+            let mut interest = 0i16;
+            if !c.closing && !c.eof {
+                interest |= POLLIN;
             }
+            if c.pending() {
+                interest |= POLLOUT;
+            }
+            fds.push(if interest != 0 {
+                PollFd::new(c.io.raw_fd(), interest)
+            } else {
+                PollFd::ignored()
+            });
         }
-        let tick = if have_mem { MEM_TICK } else { IDLE_TICK };
-        readiness::poll_fds(&mut fds, Some(tick)).map_err(|e| codec::io_to_ear("poll", &e))?;
+        readiness::poll_fds(&mut fds, Some(IDLE_TICK)).map_err(|e| codec::io_to_ear("poll", &e))?;
 
         // Accept burst: drain the backlog, rejecting beyond the table cap
-        // with the same saturation error frame the blocking server sends.
+        // with a "server saturated" error frame.
         if shutdown_at.is_none() {
             while let Some(mut conn) = listener.accept_nonblocking()? {
                 if conns.len() >= cfg.workers {
@@ -536,11 +362,11 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
 
         for (i, c) in conns.iter_mut().enumerate() {
             let slot = fds.get(1 + i).copied();
-            let is_mem = c.io.raw_fd().is_none();
 
             // Read: one fill per readiness report (level-triggered poll
-            // re-reports leftover bytes next iteration).
-            if !c.closing && !c.eof && (is_mem || slot.is_some_and(|s| s.readable())) {
+            // re-reports leftover bytes next iteration). A connection
+            // accepted this iteration has no slot yet and is read next time.
+            if !c.closing && !c.eof && slot.is_some_and(|s| s.readable()) {
                 match c.inbuf.fill_from(&mut c.io) {
                     Ok(0) => c.eof = true,
                     Ok(_) => c.last_activity = Instant::now(),
@@ -604,8 +430,7 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
 
             // EOF classification, after draining every complete frame:
             // leftover bytes mean the peer died mid-frame — exactly one
-            // typed, counted error, the blocking server's contract. A
-            // clean close just ends the connection.
+            // typed, counted error. A clean close just ends the connection.
             if !c.dead && c.eof && !c.eof_classified {
                 c.eof_classified = true;
                 if c.inbuf.mid_frame() && !c.closing {
@@ -676,7 +501,8 @@ pub fn run_async(listener: NetListener, cfg: ServerConfig) -> EarResult<ServerRe
     Ok(report)
 }
 
-/// Starts [`run_async`] on a background thread.
+/// Starts [`run_async`] on a background thread (tests, benches,
+/// `earsim jobstream --uds`).
 pub fn spawn_async(listener: NetListener, cfg: ServerConfig) -> ServerHandle {
     ServerHandle {
         thread: std::thread::spawn(move || run_async(listener, cfg)),

@@ -79,8 +79,6 @@ fn usage() -> ! {
          earsim bench --verify-telemetry FILE  validate an earsim-telemetry line\n\
          earsim serve --socket PATH|HOST:PORT [--workers N] [--node N]\n\
          \x20            [--ceiling PSTATE:IMCMAX] [--max-seconds S]\n\
-         \x20            [--blocking]   (thread-per-connection server\n\
-         \x20                           instead of the readiness loop)\n\
          earsim loadgen --socket PATH|HOST:PORT [--clients K]\n\
          \x20            [--duration S] [--shutdown]\n\
          earsim cluster [--nodes N] [--fanout N] [--duration S]\n\
@@ -452,13 +450,11 @@ fn cmd_bench(rest: &[String]) -> Result<(), EarError> {
     Ok(())
 }
 
-/// `earsim serve`: runs the networked EARD daemon until the shutdown
-/// poison frame (or `--max-seconds`). Needs a custom argument loop: the
-/// generic `parse_flags` requires a value after every flag.
+/// `earsim serve`: runs the networked EARD daemon (the readiness loop)
+/// until the shutdown poison frame (or `--max-seconds`).
 fn cmd_serve(rest: &[String]) -> Result<(), EarError> {
     let mut cfg = ear::netd::ServerConfig::default();
     let mut socket: Option<String> = None;
-    let mut blocking = false;
     let mut it = rest.iter();
     while let Some(a) = it.next() {
         let mut value = |key: &str| match it.next() {
@@ -494,7 +490,6 @@ fn cmd_serve(rest: &[String]) -> Result<(), EarError> {
                     imc_dom: ear::core::DomainLimits::LEGACY,
                 });
             }
-            "--blocking" => blocking = true,
             _ => {
                 eprintln!("unknown serve argument '{a}'");
                 usage();
@@ -506,20 +501,8 @@ fn cmd_serve(rest: &[String]) -> Result<(), EarError> {
         usage();
     };
     let listener = ear::netd::NetListener::bind(&socket)?;
-    eprintln!(
-        "earsim: serving on {} ({})",
-        listener.describe(),
-        if blocking {
-            "blocking"
-        } else {
-            "readiness loop"
-        }
-    );
-    let report = if blocking {
-        ear::netd::server::run(listener, cfg)?
-    } else {
-        ear::netd::server::run_async(listener, cfg)?
-    };
+    eprintln!("earsim: serving on {}", listener.describe());
+    let report = ear::netd::server::run_async(listener, cfg)?;
     println!(
         "accepted {}  rejected {}  requests {}  conn_errors {}  shutdown {}",
         report.accepted,
