@@ -39,6 +39,13 @@ impl From<ConfError> for ear_errors::EarError {
     }
 }
 
+/// Whether `v` is a valid policy threshold (`CpuPolicyTh`,
+/// `UncPolicyTh` and their SPANK and `earsim run` counterparts): a
+/// fraction in [0, 0.5]. NaN is not.
+pub fn valid_policy_th(v: f64) -> bool {
+    (0.0..=0.5).contains(&v)
+}
+
 /// Parses `ear.conf` text into an [`EarlConfig`], starting from defaults.
 ///
 /// ```
@@ -82,14 +89,14 @@ pub fn parse_ear_conf(text: &str) -> Result<EarlConfig, ConfError> {
             "model" => config.model_name = value.to_string(),
             "cpupolicyth" => {
                 let v = parse_f64(value)?;
-                if !(0.0..=0.5).contains(&v) {
+                if !valid_policy_th(v) {
                     return Err(err(format!("CpuPolicyTh {v} outside [0, 0.5]")));
                 }
                 config.settings.cpu_policy_th = v;
             }
             "uncpolicyth" => {
                 let v = parse_f64(value)?;
-                if !(0.0..=0.5).contains(&v) {
+                if !valid_policy_th(v) {
                     return Err(err(format!("UncPolicyTh {v} outside [0, 0.5]")));
                 }
                 config.settings.unc_policy_th = v;
@@ -244,6 +251,7 @@ mod tests {
     fn out_of_range_thresholds_rejected() {
         assert!(parse_ear_conf("CpuPolicyTh=0.9").is_err());
         assert!(parse_ear_conf("UncPolicyTh=-0.1").is_err());
+        assert!(parse_ear_conf("CpuPolicyTh=NaN").is_err());
         assert!(parse_ear_conf("MinSignatureWindow=0").is_err());
         assert!(parse_ear_conf("DynaisLevels=0").is_err());
     }

@@ -3,16 +3,19 @@
 //! The zero-dependency suite behind `earsim bench`, which the CI smoke job
 //! runs everywhere. It times the structures the per-event hot path
 //! touches — DynAIS sampling (incremental vs the reference eager
-//! detector), window indexing, counter snapshots, the settled-phase jump,
-//! the trace bus dark vs live — plus the Table I wall clock, and renders
-//! the results as both a human-readable table and the
-//! `BENCH_hotpath.json` artifact.
+//! detector), counter snapshots, the settled-phase jump, the trace bus
+//! dark vs live — plus the Table I wall clock, and renders the results as
+//! both a human-readable table and the `BENCH_hotpath.json` artifact.
+//!
+//! A row either races the shipped path against shipped code or a test
+//! oracle (`reference` set, gated at 1.0 by [`verify_speedups`]) or is a
+//! plain reading (`reference` null).
 //!
 //! Timing uses best-of-N `std::time::Instant` wall clock: the minimum over
 //! repetitions is the least noisy estimator for short deterministic loops.
 
 use ear_archsim::{Node, NodeConfig, PhaseDemand};
-use ear_dynais::{DynAis, DynaisConfig, ReferenceDynAis, SampleWindow};
+use ear_dynais::{DynAis, DynaisConfig, ReferenceDynAis};
 use ear_trace::json::Json;
 use ear_trace::metrics::{self, Metric};
 use std::hint::black_box;
@@ -21,32 +24,23 @@ use std::time::Instant;
 /// JSON schema identifier emitted in (and required of) the artifact.
 pub const SCHEMA: &str = "earsim-bench-hotpath/v1";
 
-/// Bench names that must appear in a valid artifact.
-pub const REQUIRED_BENCHES: [&str; 17] = [
+/// The bench names of a valid artifact: every one must appear, and no
+/// other may.
+pub const REQUIRED_BENCHES: [&str; 13] = [
     "dynais_inloop_per_sample",
     "dynais_aperiodic_per_sample",
-    "window_push_recent",
     "snapshot_per_call",
     "run_phase_one_simsec",
     "uncore_domain_step",
     "trace_emit_per_event",
-    "mpi_job_step_parallel",
-    "mpi_break_even",
     "frame_codec_roundtrip",
     "eargm_tree_fanout",
     "sweep_grid_wall",
     "fitted_policy_decide",
     "rapl_enforce_step",
-    "powercap_search_settle",
     "table1_wall",
     "cache_warm_all_wall",
 ];
-
-/// Rows exempt from the sub-1.0 speedup gate of [`verify_speedups`].
-/// Empty: every row with a reference times shipped code or a test oracle
-/// the measured path must beat, so a row reading below 1.0 is a
-/// regression, never an expected floor.
-pub const SPEEDUP_ALLOWLIST: [&str; 0] = [];
 
 /// One timed hot-path measurement.
 #[derive(Debug, Clone)]
@@ -55,7 +49,7 @@ pub struct BenchEntry {
     pub name: &'static str,
     /// Unit of both numbers (e.g. `ns/op`).
     pub unit: &'static str,
-    /// Pre-optimisation implementation, if one is runnable in-process.
+    /// Shipped code or a test oracle the measured path races, if any.
     pub reference: Option<f64>,
     /// The shipped implementation.
     pub optimized: f64,
@@ -169,115 +163,8 @@ fn bench_dynais_aperiodic(quick: bool) -> BenchEntry {
     }
 }
 
-/// Ring-buffer indexing: conditional-subtract wrap (the shipped
-/// [`SampleWindow`] scheme, reproduced inline) vs `%` on every access (the
-/// pre-optimisation indexing). Both are local structs so codegen conditions
-/// are identical, and the capacity goes through `black_box`: in production
-/// the window size comes from `DynaisConfig` at runtime, so the modulo is a
-/// genuine division — constant-propagating 250 would let LLVM strength-
-/// reduce it and understate the difference.
-fn bench_window(quick: bool) -> BenchEntry {
-    struct CondWindow {
-        buf: Vec<u64>,
-        head: usize,
-        len: usize,
-    }
-    impl CondWindow {
-        fn push(&mut self, v: u64) {
-            self.buf[self.head] = v;
-            self.head += 1;
-            if self.head == self.buf.len() {
-                self.head = 0;
-            }
-            if self.len < self.buf.len() {
-                self.len += 1;
-            }
-        }
-        fn recent(&self, back: usize) -> Option<u64> {
-            if back >= self.len {
-                return None;
-            }
-            let cap = self.buf.len();
-            let mut idx = self.head + cap - 1 - back;
-            if idx >= cap {
-                idx -= cap;
-            }
-            Some(self.buf[idx])
-        }
-    }
-    struct ModWindow {
-        buf: Vec<u64>,
-        head: usize,
-        len: usize,
-    }
-    impl ModWindow {
-        fn push(&mut self, v: u64) {
-            self.buf[self.head] = v;
-            self.head = (self.head + 1) % self.buf.len();
-            if self.len < self.buf.len() {
-                self.len += 1;
-            }
-        }
-        fn recent(&self, back: usize) -> Option<u64> {
-            if back >= self.len {
-                return None;
-            }
-            let cap = self.buf.len();
-            Some(self.buf[(self.head + cap - 1 - back) % cap])
-        }
-    }
-
-    let n = if quick { 200_000 } else { 4_000_000 };
-
-    let mut w = CondWindow {
-        buf: vec![0; black_box(250)],
-        head: 0,
-        len: 0,
-    };
-    let t_opt = best_secs(3, || {
-        for i in 0..n as u64 {
-            w.push(i);
-            black_box(w.recent(99));
-        }
-    }) / n as f64;
-
-    let mut m = ModWindow {
-        buf: vec![0; black_box(250)],
-        head: 0,
-        len: 0,
-    };
-    let t_ref = best_secs(3, || {
-        for i in 0..n as u64 {
-            m.push(i);
-            black_box(m.recent(99));
-        }
-    }) / n as f64;
-
-    // Sanity: the inline copy matches the shipped type sample for sample.
-    let mut shipped = SampleWindow::new(250);
-    let mut copy = CondWindow {
-        buf: vec![0; 250],
-        head: 0,
-        len: 0,
-    };
-    for i in 0..600u64 {
-        shipped.push(i * 31 + 7);
-        copy.push(i * 31 + 7);
-        for back in [0usize, 1, 99, 249, 250] {
-            assert_eq!(shipped.recent(back), copy.recent(back));
-        }
-    }
-
-    BenchEntry {
-        name: "window_push_recent",
-        unit: "ns/op",
-        reference: Some(t_ref * 1e9),
-        optimized: t_opt * 1e9,
-    }
-}
-
-/// Counter snapshot: the inline-array return vs the old heap-allocated
-/// per-socket `Vec` shape (reproduced by collecting the sockets out).
+/// Cost of one counter snapshot of a node that has run a phase. No
+/// reference: the call is the only snapshot path that ships.
 fn bench_snapshot(quick: bool) -> BenchEntry {
     let n = if quick { 50_000 } else { 500_000 };
     let mut node = Node::new(NodeConfig::sd530_6148(), 1);
@@ -288,25 +175,17 @@ fn bench_snapshot(quick: bool) -> BenchEntry {
         ..Default::default()
     });
 
-    let t_opt = best_secs(3, || {
+    let t = best_secs(3, || {
         for _ in 0..n {
             black_box(node.snapshot());
-        }
-    }) / n as f64;
-
-    let t_ref = best_secs(3, || {
-        for _ in 0..n {
-            let snap = node.snapshot();
-            let v: Vec<_> = snap.sockets.iter().copied().collect();
-            black_box(v);
         }
     }) / n as f64;
 
     BenchEntry {
         name: "snapshot_per_call",
         unit: "ns/op",
-        reference: Some(t_ref * 1e9),
-        optimized: t_opt * 1e9,
+        reference: None,
+        optimized: t * 1e9,
     }
 }
 
@@ -355,7 +234,10 @@ fn bench_settled_jump(quick: bool) -> BenchEntry {
 /// knob path never became the slower one, i.e. the refactor's N=1 fast
 /// path really is free.
 fn bench_uncore_domain_step(quick: bool) -> BenchEntry {
-    let n = if quick { 200 } else { 2_000 };
+    // A settled phase costs well under a microsecond: 20k of them keep
+    // each timed repetition near 10 ms, long enough that one preemption
+    // cannot flip the comparison.
+    let n = if quick { 200 } else { 20_000 };
     // Memory-bound and traffic on every die (uniform split by default), so
     // the per-domain machinery is exercised — not skipped as idle.
     let demand = PhaseDemand {
@@ -431,175 +313,6 @@ fn bench_trace_emit(quick: bool) -> BenchEntry {
         unit: "ns/op",
         reference: Some(t_on * 1e9),
         optimized: t_off * 1e9,
-    }
-}
-
-/// One 8-node bulk-synchronous job. `reference` is an inline reproduction
-/// of the pre-fix node-parallel driver — a horizon slot per worker, a
-/// leader reduction over the slots, and **two** `std::sync::Barrier`
-/// (mutex/condvar) waits per iteration — at the thread count that driver
-/// fanned out to (`available_parallelism` clamped to `[2, 8]`), i.e. the
-/// exact implementation and conditions the committed 0.51× regression was
-/// measured under. `optimized` is the shipped adaptive [`run_job`]:
-/// break-even gated, autotuned, one `fetch_max` rendezvous per iteration.
-/// On a single-core machine the adaptive driver measures its way back to
-/// serial stepping and the speedup records precisely what the old driver
-/// lost to barrier thrash; with real cores it records the fan-out win.
-/// All three drivers (serial, old parallel, adaptive) are asserted to
-/// leave bit-identical cluster state before anything is timed.
-fn bench_job_step(quick: bool) -> BenchEntry {
-    use ear_archsim::{Cluster, SimTime};
-    use ear_mpisim::{permits, run_job, run_job_serial, JobSpec, MpiCall, MpiEvent, NullRuntime};
-    use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Barrier;
-
-    let iters = if quick { 30 } else { 150 };
-    let job = JobSpec::homogeneous(
-        "bench",
-        8,
-        40,
-        vec![
-            MpiEvent::new(MpiCall::Isend, 65536, 1),
-            MpiEvent::new(MpiCall::Wait, 0, 0),
-            MpiEvent::collective(MpiCall::Allreduce, 512),
-        ],
-        PhaseDemand {
-            instructions: 4e9,
-            mem_bytes: 2e9,
-            active_cores: 40,
-            wait_seconds: 0.002,
-            ..Default::default()
-        },
-        iters,
-    );
-    let mk_cluster = || Cluster::new(NodeConfig::sd530_6148(), 8, 4242);
-
-    // The pre-fix driver, reproduced inline. With `NullRuntime` the per
-    // node step is exactly `run_phase`; everything else — the slot array,
-    // the leader reduce, the double barrier — is the old synchronisation
-    // structure this PR replaced, kept here as the honest reference.
-    let threads = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 8));
-    let old_drive = |cluster: &mut Cluster| {
-        let nodes = cluster.nodes_mut_slice();
-        let chunk = nodes.len().div_ceil(threads);
-        let chunks: Vec<&mut [ear_archsim::Node]> = nodes.chunks_mut(chunk).collect();
-        let workers = chunks.len();
-        let slots: Vec<AtomicU64> = (0..workers).map(|_| AtomicU64::new(0)).collect();
-        let horizon = AtomicU64::new(0);
-        let barrier = Barrier::new(workers);
-        std::thread::scope(|scope| {
-            for (w, nodes) in chunks.into_iter().enumerate() {
-                let (slots, horizon, barrier, job) = (&slots, &horizon, &barrier, &job);
-                scope.spawn(move || {
-                    for iter in &job.iterations {
-                        for node in nodes.iter_mut() {
-                            node.run_phase(&iter.demand);
-                        }
-                        let local = nodes.iter().map(|n| n.now().as_micros()).max().unwrap_or(0);
-                        slots[w].store(local, Ordering::Release);
-                        // Barrier 1: every local horizon is published.
-                        if barrier.wait().is_leader() {
-                            let max = slots
-                                .iter()
-                                .map(|s| s.load(Ordering::Acquire))
-                                .max()
-                                .unwrap_or(0);
-                            horizon.store(max, Ordering::Release);
-                        }
-                        // Barrier 2: the reduced horizon is published.
-                        barrier.wait();
-                        let t = SimTime(horizon.load(Ordering::Acquire));
-                        for node in nodes.iter_mut() {
-                            let lag = t - node.now();
-                            if lag > 0.0 {
-                                node.run_idle(lag);
-                            }
-                        }
-                    }
-                });
-            }
-        });
-    };
-
-    // End-of-job cluster state, bit for bit: simulated clock and exact DC
-    // energy of every node.
-    let fingerprint = |c: &Cluster| -> Vec<(u64, u64)> {
-        (0..c.len())
-            .map(|i| {
-                let n = c.node(i);
-                (
-                    n.now().as_micros(),
-                    n.snapshot().dc_energy_exact_j.to_bits(),
-                )
-            })
-            .collect()
-    };
-
-    // Sanity first: all three drivers must leave identical cluster state,
-    // otherwise the timing compares different computations.
-    let (serial_print, serial_report) = {
-        let mut c = mk_cluster();
-        let mut r = vec![NullRuntime; 8];
-        let report = run_job_serial(&mut c, &job, &mut r);
-        (fingerprint(&c), report)
-    };
-    let old_print = {
-        let mut c = mk_cluster();
-        old_drive(&mut c);
-        fingerprint(&c)
-    };
-    assert_eq!(
-        serial_print, old_print,
-        "old double-barrier driver diverged from the serial driver"
-    );
-    permits::set_spare_threads(threads - 1);
-    let (adaptive_print, adaptive_report) = {
-        let mut c = mk_cluster();
-        let mut r = vec![NullRuntime; 8];
-        let report = run_job(&mut c, &job, &mut r);
-        (fingerprint(&c), report)
-    };
-    assert_eq!(
-        (serial_print, serial_report),
-        (adaptive_print, adaptive_report),
-        "adaptive driver diverged from the serial driver"
-    );
-
-    permits::set_spare_threads(0);
-    let t_ref = best_secs(3, || {
-        let mut c = mk_cluster();
-        old_drive(&mut c);
-    });
-    let spare = threads - 1;
-    let t_opt = best_secs(3, || {
-        permits::set_spare_threads(spare);
-        let mut c = mk_cluster();
-        let mut r = vec![NullRuntime; 8];
-        black_box(run_job(&mut c, &job, &mut r));
-    });
-    permits::set_spare_threads(0);
-
-    BenchEntry {
-        name: "mpi_job_step_parallel",
-        unit: "ms/job",
-        reference: Some(t_ref * 1e3),
-        optimized: t_opt * 1e3,
-    }
-}
-
-/// The measured node count below which the adaptive MPI driver refuses to
-/// fan out on this machine (see `ear_mpisim::breakeven`). Recalibrated
-/// fresh — never read from the persisted file — so the artifact records
-/// this run's machine. No reference: the row is a calibration readout, not
-/// an old-vs-new race; its value is that regressions in the parallel
-/// driver show up as the break-even point drifting upwards.
-fn bench_break_even() -> BenchEntry {
-    let cal = ear_mpisim::breakeven::calibrate_now();
-    BenchEntry {
-        name: "mpi_break_even",
-        unit: "nodes",
-        reference: None,
-        optimized: cal.break_even_nodes as f64,
     }
 }
 
@@ -768,7 +481,8 @@ fn bench_fitted_policy_decide(quick: bool) -> BenchEntry {
     use ear_core::Signature;
     use ear_core::{Avx512Model, Fitted, FittedSurface, MinEnergyEufs, PolicySettings, Poly2};
 
-    let n = if quick { 40 } else { 200 };
+    // About 10 ms per timed repetition, as in `bench_uncore_domain_step`.
+    let n = if quick { 40 } else { 2_000 };
     let pstates = PstateTable::xeon_gold_6148();
     let model = Avx512Model::for_node(&NodeConfig::sd530_6148());
     let plain = PolicySettings::default();
@@ -922,161 +636,6 @@ fn bench_rapl_enforce_step(quick: bool) -> BenchEntry {
     }
 }
 
-/// Settle cost of the dual-knob powercap search, closed loop on a live
-/// node: signature windows from "cap imposed" to the policy reporting
-/// `Ready` at the cap, each decision driven by a real measured window.
-/// `reference` is the cold search — no fitted surface, so the warm point
-/// is the reference operating point and the measured hill-climb walks the
-/// entire descent one evaluation per window. `optimized` warm-starts from
-/// a surface calibrated in-bench from three probe windows (the `earsim
-/// sweep` product, minus the ceremony) and lets the same hill-climb
-/// refine the landing. Windows, not host microseconds, are the honest
-/// unit: on a deployment each one is a full 10 s signature period spent
-/// off the optimal point, while host wall time per settle skews toward
-/// however many simulated quanta the throttled windows happen to cover.
-/// Noise is off, so both counts are exactly reproducible.
-fn bench_powercap_search_settle(quick: bool) -> BenchEntry {
-    use ear_archsim::PstateTable;
-    use ear_core::policy::{PolicyCtx, PolicyState, PowerPolicy, Powercap};
-    use ear_core::{Avx512Model, FittedSurface, PolicySettings, Poly2, Signature};
-
-    let pstates = PstateTable::xeon_gold_6148();
-    let model = Avx512Model::for_node(&NodeConfig::sd530_6148());
-    let slowest = pstates.slowest();
-    // Multi-second windows: the INM DC counter publishes once per second,
-    // so sub-second windows read 0 W (the very reason the paper measures
-    // over >= 10 s). Heavy memory traffic gives the uncore knob real watts
-    // to shed, so the dual-knob search has a genuine 2-D descent.
-    let window = PhaseDemand {
-        instructions: 8e11,
-        mem_bytes: 160e9,
-        cpi_core: 0.38,
-        uncore_lat_cycles: 4.0,
-        mem_overlap: 0.6,
-        active_cores: 40,
-        ..Default::default()
-    };
-
-    fn ctx<'a>(
-        pstates: &'a PstateTable,
-        model: &'a Avx512Model,
-        settings: &'a PolicySettings,
-    ) -> PolicyCtx<'a> {
-        PolicyCtx {
-            pstates,
-            uncore_min_ratio: 12,
-            uncore_max_ratio: 24,
-            uncore_domains: 1,
-            model,
-            settings,
-        }
-    }
-
-    // One measured signature window at a pinned operating point.
-    fn probe(node: &mut Node, window: &PhaseDemand, ps: ear_archsim::Pstate, ratio: u8) -> f64 {
-        node.set_cpu_pstate(ps);
-        must(node.set_uncore_limits(ratio, ratio), "pin probe uncore");
-        let prev = node.snapshot();
-        node.run_phase(window);
-        Signature::from_delta(&node.snapshot().delta(&prev), 1).dc_power_w
-    }
-
-    // One full settle sequence: re-arm the node at the reference point,
-    // then window → signature → node_policy → apply, until Ready.
-    fn settle(
-        node: &mut Node,
-        policy: &mut Powercap,
-        ctx: &PolicyCtx<'_>,
-        window: &PhaseDemand,
-    ) -> u32 {
-        node.set_cpu_pstate(1);
-        must(node.set_uncore_limits(12, 24), "re-arm uncore limits");
-        let mut windows = 0u32;
-        let mut prev = node.snapshot();
-        loop {
-            node.run_phase(window);
-            let snap = node.snapshot();
-            let sig = Signature::from_delta(&snap.delta(&prev), 1);
-            prev = snap;
-            windows += 1;
-            let (freqs, state) = policy.node_policy(&sig, ctx);
-            node.set_cpu_pstate(freqs.cpu);
-            must(
-                node.set_uncore_limits(freqs.imc_min_ratio, freqs.imc_max_ratio),
-                "apply uncore limits",
-            );
-            if state == PolicyState::Ready {
-                return windows;
-            }
-            assert!(windows < 60, "powercap search did not settle");
-        }
-    }
-
-    // Noise off: probes, cap and settle trajectories are then exactly
-    // reproducible, so the sanity assertions below hold on every machine.
-    let mut cfg = NodeConfig::sd530_6148();
-    cfg.noise_sigma = 0.0;
-    let mut node = Node::new(cfg, 7);
-
-    // Three probe windows calibrate a linear power surface — the same
-    // measurements `earsim sweep` would take, collapsed to the corners —
-    // and fix a deep but achievable cap between floor and reference draw.
-    let (f_hi, f_mid) = (pstates.ghz(1), pstates.ghz(4));
-    let p_ref = probe(&mut node, &window, 1, 24);
-    let p_mid_f = probe(&mut node, &window, 4, 24);
-    let p_low_u = probe(&mut node, &window, 1, 16);
-    let p_floor = probe(&mut node, &window, slowest, 12);
-    assert!(
-        p_ref > p_floor + 1.0,
-        "no dynamic range between reference ({p_ref:.1} W) and floor ({p_floor:.1} W)"
-    );
-    let cap_w = p_floor + 0.3 * (p_ref - p_floor);
-    let b = (p_ref - p_mid_f) / (f_hi - f_mid);
-    let c = (p_ref - p_low_u) / (2.4 - 1.6);
-    let a = p_ref - b * f_hi - c * 2.4;
-    let surface = FittedSurface {
-        // Time falls with core frequency and (weakly) with uncore: enough
-        // structure for the warm start's time-minimisation to order
-        // admissible points sensibly.
-        time: Poly2 {
-            coeffs: [100.0, -20.0, -1.0, 0.0, 0.0, 0.0],
-        },
-        power: Poly2 {
-            coeffs: [a, b, c, 0.0, 0.0, 0.0],
-        },
-        f_range_ghz: (pstates.ghz(slowest), f_hi),
-        u_range_ghz: (1.2, 2.4),
-    };
-
-    let cold = PolicySettings {
-        cap_w: Some(cap_w),
-        ..Default::default()
-    };
-    let warm = PolicySettings {
-        cap_w: Some(cap_w),
-        fitted: Some(surface),
-        ..Default::default()
-    };
-    let cold_ctx = ctx(&pstates, &model, &cold);
-    let warm_ctx = ctx(&pstates, &model, &warm);
-
-    let w_cold = settle(&mut node, &mut Powercap::default(), &cold_ctx, &window);
-    let w_warm = settle(&mut node, &mut Powercap::default(), &warm_ctx, &window);
-    assert!(
-        w_warm < w_cold,
-        "warm start saved no windows (cold {w_cold}, warm {w_warm})"
-    );
-    // Deterministic counts: nothing to average, quick and full agree.
-    let _ = quick;
-
-    BenchEntry {
-        name: "powercap_search_settle",
-        unit: "windows/settle",
-        reference: Some(f64::from(w_cold)),
-        optimized: f64::from(w_warm),
-    }
-}
-
 /// Cold vs warm persistent result cache over the paper evaluation (the
 /// whole `run_all` output; `--quick` trims it to Table I). `reference` is
 /// the cold run that populates a fresh store, `optimized` the warm rerun
@@ -1142,19 +701,15 @@ pub fn run(quick: bool) -> BenchReport {
         benches: vec![
             bench_dynais_inloop(quick),
             bench_dynais_aperiodic(quick),
-            bench_window(quick),
             bench_snapshot(quick),
             bench_settled_jump(quick),
             bench_uncore_domain_step(quick),
             bench_trace_emit(quick),
-            bench_job_step(quick),
-            bench_break_even(),
             bench_frame_codec(quick),
             bench_eargm_tree_fanout(quick),
             bench_sweep_grid_wall(quick),
             bench_fitted_policy_decide(quick),
             bench_rapl_enforce_step(quick),
-            bench_powercap_search_settle(quick),
             bench_table1(quick),
             // Last: installs (and removes) a process-global result store.
             bench_cache_warm(quick),
@@ -1217,8 +772,8 @@ impl BenchReport {
 // ---------------------------------------------------------------------------
 
 /// Validates a `BENCH_hotpath.json` document: well-formed JSON, the right
-/// schema tag, and every required bench present with sane numbers. Returns
-/// the number of benches on success.
+/// schema tag, and exactly the [`REQUIRED_BENCHES`] with sane numbers.
+/// Returns the number of benches on success.
 pub fn validate_json(text: &str) -> Result<usize, String> {
     let root = Json::parse(text)?;
     match root.get("schema") {
@@ -1240,6 +795,9 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
             Some(Json::Str(s)) if !s.is_empty() => s.clone(),
             _ => return Err(format!("bench {i}: missing string field 'name'")),
         };
+        if !REQUIRED_BENCHES.contains(&name.as_str()) {
+            return Err(format!("unknown bench '{name}'"));
+        }
         if names.contains(&name) {
             return Err(format!("duplicate bench '{name}'"));
         }
@@ -1292,9 +850,9 @@ pub fn validate_json(text: &str) -> Result<usize, String> {
 
 /// The regression gate over a `BENCH_hotpath.json`: every row with a
 /// non-null reference must report a speedup of at least 1.0 — an optimised
-/// path that loses to the implementation it replaced is a regression, not
-/// a measurement — unless the row is in [`SPEEDUP_ALLOWLIST`]. Returns the
-/// number of gated rows on success; the error lists every offending row.
+/// path that loses to the code it races is a regression, not a
+/// measurement. Returns the number of gated rows on success; the error
+/// lists every offending row.
 /// Call [`validate_json`] first: this gate assumes a structurally valid
 /// artifact and skips anything malformed.
 pub fn verify_speedups(text: &str) -> Result<usize, String> {
@@ -1313,9 +871,6 @@ pub fn verify_speedups(text: &str) -> Result<usize, String> {
         let Some(Json::Num(speedup)) = b.get("speedup") else {
             continue;
         };
-        if SPEEDUP_ALLOWLIST.contains(&name.as_str()) {
-            continue;
-        }
         gated += 1;
         if *speedup < 1.0 {
             regressions.push(format!("{name} ({speedup:.3}x)"));
@@ -1335,38 +890,48 @@ pub fn verify_speedups(text: &str) -> Result<usize, String> {
 mod tests {
     use super::*;
 
-    fn sample_json() -> String {
-        let report = BenchReport {
+    /// The rows that ship without a reference.
+    const READINGS: [&str; 5] = [
+        "snapshot_per_call",
+        "frame_codec_roundtrip",
+        "sweep_grid_wall",
+        "rapl_enforce_step",
+        "table1_wall",
+    ];
+
+    fn sample_report() -> BenchReport {
+        BenchReport {
             quick: true,
             benches: REQUIRED_BENCHES
                 .iter()
                 .map(|name| BenchEntry {
                     name,
                     unit: "ns/op",
-                    // The rows that really ship without a reference.
-                    reference: if matches!(
-                        *name,
-                        "table1_wall"
-                            | "mpi_break_even"
-                            | "frame_codec_roundtrip"
-                            | "sweep_grid_wall"
-                            | "rapl_enforce_step"
-                    ) {
-                        None
-                    } else {
-                        Some(50.0)
-                    },
+                    reference: (!READINGS.contains(name)).then_some(50.0),
                     optimized: 10.0,
                 })
                 .collect(),
-        };
-        report.to_json()
+        }
+    }
+
+    fn sample_json() -> String {
+        sample_report().to_json()
     }
 
     #[test]
     fn emitted_json_validates() {
         let json = sample_json();
         assert_eq!(validate_json(&json), Ok(REQUIRED_BENCHES.len()));
+    }
+
+    #[test]
+    fn committed_artifact_validates_and_passes_the_gate() {
+        let json = include_str!("../../../BENCH_hotpath.json");
+        assert_eq!(validate_json(json), Ok(REQUIRED_BENCHES.len()));
+        assert_eq!(
+            verify_speedups(json),
+            Ok(REQUIRED_BENCHES.len() - READINGS.len())
+        );
     }
 
     #[test]
@@ -1385,10 +950,19 @@ mod tests {
 
     #[test]
     fn rejects_missing_required_bench() {
-        let json = sample_json().replace("snapshot_per_call", "snapshot_renamed");
+        let mut report = sample_report();
+        report.benches.retain(|b| b.name != "snapshot_per_call");
+        assert!(validate_json(&report.to_json())
+            .unwrap_err()
+            .contains("required bench 'snapshot_per_call' missing"));
+    }
+
+    #[test]
+    fn rejects_rows_outside_the_required_set() {
+        let json = sample_json().replace("snapshot_per_call", "window_push_recent");
         assert!(validate_json(&json)
             .unwrap_err()
-            .contains("snapshot_per_call"));
+            .contains("unknown bench 'window_push_recent'"));
     }
 
     #[test]
@@ -1399,11 +973,10 @@ mod tests {
 
     #[test]
     fn speedup_gate_counts_the_gated_rows() {
-        // 17 required rows minus the 5 null references; the allowlist is
-        // empty, so every row with a reference is gated.
+        // Every row with a reference is gated.
         assert_eq!(
             verify_speedups(&sample_json()),
-            Ok(REQUIRED_BENCHES.len() - 5)
+            Ok(REQUIRED_BENCHES.len() - READINGS.len())
         );
     }
 
@@ -1413,8 +986,8 @@ mod tests {
             quick: true,
             benches: vec![
                 BenchEntry {
-                    name: "window_push_recent",
-                    unit: "ns/op",
+                    name: "uncore_domain_step",
+                    unit: "us/phase",
                     reference: Some(5.0),
                     optimized: 10.0, // speedup 0.5: a regression
                 },
@@ -1427,7 +1000,7 @@ mod tests {
             ],
         };
         let err = verify_speedups(&report.to_json()).unwrap_err();
-        assert!(err.contains("window_push_recent"), "{err}");
+        assert!(err.contains("uncore_domain_step"), "{err}");
         assert!(!err.contains("dynais_inloop_per_sample"), "{err}");
     }
 
@@ -1442,7 +1015,7 @@ mod tests {
         // One real (quick) run: the emitted artifact must self-validate and
         // the incremental DynAIS must beat the reference in-loop.
         let report = run(true);
-        assert_eq!(validate_json(&report.to_json()), Ok(report.benches.len()));
+        assert_eq!(validate_json(&report.to_json()), Ok(REQUIRED_BENCHES.len()));
         let inloop = report
             .benches
             .iter()
@@ -1452,18 +1025,6 @@ mod tests {
             inloop.speedup().unwrap() > 1.0,
             "incremental DynAIS slower than the reference: {:?}",
             inloop
-        );
-        // The point of the adaptive driver: it must never lose to the old
-        // double-barrier parallel driver it replaced.
-        let mpi = report
-            .benches
-            .iter()
-            .find(|b| b.name == "mpi_job_step_parallel")
-            .unwrap();
-        assert!(
-            mpi.speedup().unwrap() > 1.0,
-            "adaptive MPI driver lost to the old double-barrier driver: {:?}",
-            mpi
         );
     }
 }

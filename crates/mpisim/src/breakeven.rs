@@ -132,8 +132,7 @@ pub fn calibration() -> &'static Calibration {
 }
 
 /// Runs the full measurement now, ignoring overrides and the persisted
-/// file, and returns the result without storing it anywhere. The bench
-/// suite's `mpi_break_even` row reports this fresh value.
+/// file, and returns the result without storing it anywhere.
 pub fn calibrate_now() -> Calibration {
     let sync_ns = measure_sync_ns();
     let spawn_ns = measure_spawn_ns();

@@ -5,6 +5,7 @@
 //! the plugin turns into the library configuration injected into the job.
 //! This module parses that flag surface into an [`EarlConfig`].
 
+use ear_core::conf::valid_policy_th;
 use ear_core::{EarlConfig, ImcSearch, PolicySettings};
 use ear_errors::EarError;
 
@@ -38,23 +39,18 @@ pub fn parse_spank_flags(flags: &str) -> Result<Option<EarlConfig>, EarError> {
             "-model" => {
                 config.model_name = value.to_string();
             }
-            "-policy-th" | "-cpu-th" => {
+            "-policy-th" | "-cpu-th" | "-unc-th" => {
                 let v: f64 = value
                     .parse()
                     .map_err(|_| bad_flag(format!("'{value}' is not a number")))?;
-                if !(0.0..=0.5).contains(&v) {
+                if !valid_policy_th(v) {
                     return Err(bad_flag(format!("threshold {v} outside [0, 0.5]")));
                 }
-                config.settings.cpu_policy_th = v;
-            }
-            "-unc-th" => {
-                let v: f64 = value
-                    .parse()
-                    .map_err(|_| bad_flag(format!("'{value}' is not a number")))?;
-                if !(0.0..=0.5).contains(&v) {
-                    return Err(bad_flag(format!("threshold {v} outside [0, 0.5]")));
+                if key == "-unc-th" {
+                    config.settings.unc_policy_th = v;
+                } else {
+                    config.settings.cpu_policy_th = v;
                 }
-                config.settings.unc_policy_th = v;
             }
             "-imc-search" => {
                 config.settings.imc_search = match value {
@@ -119,6 +115,8 @@ mod tests {
             "--ear=maybe",
             "--ear=on --ear-cpu-th=banana",
             "--ear=on --ear-cpu-th=0.9",
+            "--ear=on --ear-unc-th=-0.1",
+            "--ear=on --ear-unc-th=nan",
             "--ear=on --ear-turbo",
         ] {
             let err = parse_spank_flags(flags).unwrap_err();

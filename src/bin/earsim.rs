@@ -15,8 +15,9 @@
 //! ```
 //!
 //! Run options: `--policy NAME` (default `min_energy_eufs`), `--cpu-th PCT`
-//! (default 5), `--unc-th PCT` (default 2), `--runs N` (default 3),
-//! `--seed N`, `--search hw|linear`, `--range maxonly|pinned|band:N`.
+//! (0–50, default 5), `--unc-th PCT` (0–50, default 2), `--runs N`
+//! (1–1000, default 3), `--seed N`, `--search hw|linear`,
+//! `--range maxonly|pinned|band:N`.
 //!
 //! Every subcommand accepts a global `--jobs N`: the worker-thread count
 //! of the parallel experiment engine (default: available parallelism; the
@@ -43,7 +44,7 @@
 //! store, `EAR_CACHE_DIR` relocates it; corrupt entries are dropped and
 //! re-simulated, never trusted.
 
-use ear::core::conf::{parse_ear_conf, render_ear_conf};
+use ear::core::conf::{parse_ear_conf, render_ear_conf, valid_policy_th};
 use ear::core::{EarlConfig, ImcRange, ImcSearch, ModelRegistry, PolicySettings};
 use ear::errors::EarError;
 use ear::experiments::{compare, figures, run_cell, tables, RunKind};
@@ -74,8 +75,7 @@ fn usage() -> ! {
          earsim all\n\
          earsim bench [--quick] [--out FILE]   hot-path micro-benchmarks\n\
          earsim bench --verify FILE            validate a BENCH json artifact\n\
-         \x20                                  (fails rows with speedup < 1.0\n\
-         \x20                                  unless allowlisted)\n\
+         \x20                                  (fails rows with speedup < 1.0)\n\
          earsim bench --verify-telemetry FILE  validate an earsim-telemetry line\n\
          earsim serve --socket PATH|HOST:PORT [--workers N] [--node N]\n\
          \x20            [--ceiling PSTATE:IMCMAX] [--max-seconds S]\n\
@@ -134,13 +134,34 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     flags
 }
 
-fn flag_f64(flags: &HashMap<String, String>, key: &str, default: f64) -> f64 {
-    flags.get(key).map_or(default, |v| {
-        v.parse().unwrap_or_else(|_| {
-            eprintln!("--{key} expects a number, got '{v}'");
+/// `--cpu-th`/`--unc-th`: a policy threshold given in percent, returned
+/// as the fraction `valid_policy_th` accepts.
+fn flag_th(flags: &HashMap<String, String>, key: &str, default_pct: f64) -> f64 {
+    let Some(v) = flags.get(key) else {
+        return default_pct / 100.0;
+    };
+    match v.parse::<f64>().map(|pct| pct / 100.0) {
+        Ok(th) if valid_policy_th(th) => th,
+        _ => {
+            eprintln!("--{key} expects a percentage in [0, 50], got '{v}'");
             usage();
-        })
-    })
+        }
+    }
+}
+
+/// Most runs one cell may average. Every run is one engine task slot, so
+/// the bound keeps a typo from sizing the task table by it.
+const MAX_RUNS: usize = 1000;
+
+/// `--runs N` of `run` and `sweep`: an integer in [1, MAX_RUNS].
+fn parse_runs(v: &str) -> usize {
+    match v.parse::<usize>() {
+        Ok(n) if (1..=MAX_RUNS).contains(&n) => n,
+        _ => {
+            eprintln!("--runs expects an integer in [1, {MAX_RUNS}], got '{v}'");
+            usage();
+        }
+    }
 }
 
 fn cmd_list() {
@@ -167,10 +188,10 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<(), EarError> {
     let policy = flags
         .get("policy")
         .map_or("min_energy_eufs", |s| s.as_str());
-    let cpu_th = flag_f64(&flags, "cpu-th", 5.0) / 100.0;
-    let unc_th = flag_f64(&flags, "unc-th", 2.0) / 100.0;
-    let runs = flag_f64(&flags, "runs", 3.0) as usize;
-    let seed = flag_f64(&flags, "seed", 42.0) as u64;
+    let cpu_th = flag_th(&flags, "cpu-th", 5.0);
+    let unc_th = flag_th(&flags, "unc-th", 2.0);
+    let runs = flags.get("runs").map_or(3, |v| parse_runs(v));
+    let seed: u64 = flags.get("seed").map_or(42, |v| parse_num(v, "seed"));
     let search = match flags.get("search").map(|s| s.as_str()) {
         None | Some("hw") => ImcSearch::HwGuided,
         Some("linear") => ImcSearch::Linear,
@@ -310,13 +331,7 @@ fn cmd_sweep(rest: &[String]) -> Result<(), EarError> {
             }
             "--quick" => cfg.quick = true,
             "--out-dir" => cfg.out_dir = Some(std::path::PathBuf::from(value("out-dir"))),
-            "--runs" => {
-                cfg.runs = parse_num(&value("runs"), "runs");
-                if cfg.runs == 0 {
-                    eprintln!("--runs expects a positive integer");
-                    usage();
-                }
-            }
+            "--runs" => cfg.runs = parse_runs(&value("runs")),
             "--seed" => cfg.base_seed = parse_num(&value("seed"), "seed"),
             "--max-residual" => {
                 let pct = parse_num::<f64>(&value("max-residual"), "max-residual");
@@ -433,9 +448,8 @@ fn cmd_bench(rest: &[String]) -> Result<(), EarError> {
         let text = std::fs::read_to_string(&path).map_err(|e| EarError::io(path.as_str(), e))?;
         let n = ear::experiments::bench::validate_json(&text)
             .map_err(|e| EarError::config(format!("{path}: INVALID: {e}")))?;
-        // Schema-valid is not enough: a row whose optimised path lost to
-        // the implementation it replaced is a regression and fails the
-        // verify (unless allowlisted — see bench::SPEEDUP_ALLOWLIST).
+        // Schema-valid is not enough: a row whose shipped path lost to the
+        // code it races is a regression and fails the verify.
         let gated = ear::experiments::bench::verify_speedups(&text)
             .map_err(|e| EarError::config(format!("{path}: REGRESSION: {e}")))?;
         println!("{path}: valid ({n} benches, {gated} speedup-gated)");
