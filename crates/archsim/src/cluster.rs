@@ -112,12 +112,6 @@ impl Cluster {
         self.nodes.iter_mut()
     }
 
-    /// The nodes as one mutable slice, for callers that split them into
-    /// disjoint `&mut` chunks (node-parallel job stepping).
-    pub fn nodes_mut_slice(&mut self) -> &mut [Node] {
-        &mut self.nodes
-    }
-
     /// The latest clock among the nodes (nodes advance independently
     /// between synchronisation points).
     pub fn horizon(&self) -> SimTime {

@@ -1288,14 +1288,6 @@ impl<'a> QuantumPlan<'a> {
     }
 }
 
-// Node-parallel job stepping (ear-mpisim) moves nodes across threads in
-// disjoint `&mut` chunks; `Node` is plain owned data (the `Cell` pstate
-// cache is `Send`, just not `Sync`), and this assertion keeps it that way.
-const _: fn() = || {
-    fn assert_send<T: Send>() {}
-    assert_send::<Node>();
-};
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -32,7 +32,7 @@
 
 use crate::cache;
 use crate::harness::{make_runtime, RunKind, RunResult, Runtime};
-use ear_mpisim::{permits, run_job, JobSpec};
+use ear_mpisim::{run_job, JobSpec};
 use ear_trace::metrics::{self, Metric, Snapshot};
 use ear_workloads::{build_job, calibrate, CalibratedWorkload, CalibrationError, WorkloadTargets};
 use std::collections::HashMap;
@@ -623,23 +623,16 @@ fn run_cells(
     let batch = config.batch.clamp(1, n_tasks.max(1));
     let workers = jobs.min(n_tasks.div_ceil(batch)).max(1);
 
-    // Nested-parallelism budget: the engine's `--jobs` allowance seeds the
-    // shared permit pool; each busy worker holds one permit while it runs
-    // a task, so a job only fans its nodes out across threads the engine
-    // is not using (the straggling tail of a matrix, single-cell runs).
-    permits::set_spare_threads(jobs);
-
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 // Claim `batch` consecutive tasks: adjacent grid cells run
-                // back to back on one worker under one permit, so cluster
-                // setup amortises across a frequency band.
+                // back to back on one worker, so cluster setup amortises
+                // across a frequency band.
                 let start = next.fetch_add(batch, Ordering::Relaxed);
                 if start >= n_tasks {
                     break;
                 }
-                let held = permits::acquire_guard(1);
                 for i in start..(start + batch).min(n_tasks) {
                     let cell = pending[i / runs];
                     let run = i % runs;
@@ -656,7 +649,6 @@ fn run_cells(
                         busy_s: t0.elapsed().as_secs_f64(),
                     });
                 }
-                drop(held);
             });
         }
     });

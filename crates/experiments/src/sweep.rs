@@ -12,7 +12,7 @@
 //!   spreads across the worker pool.
 //! * **Batched cell claims.** Workers claim one uncore row of the grid
 //!   per queue operation ([`EngineConfig::with_batch`]): adjacent cells
-//!   run back to back under one permit, amortising setup and keeping the
+//!   run back to back on one worker, amortising setup and keeping the
 //!   archsim stepping path hot between neighbouring frequencies.
 //! * **Cache-key scheduling.** Pending cells are ordered by their
 //!   persistent result-cache key ([`EngineConfig::key_ordered`]), so a

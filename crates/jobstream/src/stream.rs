@@ -14,8 +14,8 @@
 //! Virtual time is integer microseconds. Admission is strict FCFS onto
 //! the lowest-numbered free slots; completions at equal times order by
 //! job sequence, and a completion at time *t* is processed before an
-//! arrival at *t*. Job execution is `ear_mpisim::run_job`, which is
-//! bit-identical across worker-thread counts, and job durations derive
+//! arrival at *t*. Job execution is `ear_mpisim::run_job`, which steps
+//! a job's nodes serially on one thread, and job durations derive
 //! only from simulated seconds — so the whole report is byte-identical
 //! across re-runs, `--jobs` settings and transports (the UDS path moves
 //! identical bytes, merely over sockets).

@@ -6,55 +6,15 @@
 //! each iteration on every node, then fills the stragglers' gap with idle
 //! time (load-imbalance waiting).
 //!
-//! Between synchronisation barriers the nodes are independent — per-node
-//! state (hardware model, RNG, runtime) never crosses a barrier — so
-//! [`run_job`] steps disjoint chunks of (node, runtime) pairs on scoped
-//! threads when the shared permit pool ([`crate::permits`]) has spare
-//! threads, and falls back to the serial loop otherwise. Both paths
-//! produce **bit-identical** [`JobReport`]s: the only cross-node value is
-//! the per-iteration barrier horizon, which is an exact `u64` microsecond
-//! maximum and therefore independent of evaluation order.
-//!
-//! Parallelism here is a measured bet, not a default. Three mechanisms
-//! keep the parallel path from ever losing to the serial one (the 0.51×
-//! regression of the original driver):
-//!
-//! - **Break-even gating** ([`crate::breakeven`]): jobs below a calibrated
-//!   node count skip the parallel path entirely, returning their permits
-//!   immediately.
-//! - **In-job autotuning**: the first iterations run serially and are
-//!   timed; the measured per-node cost plus the calibrated rendezvous and
-//!   spawn costs pick the worker count (possibly 1 — stay serial).
-//! - **One rendezvous per iteration** (`HorizonGate`): workers publish
-//!   their chunk horizon with a single `AtomicU64::fetch_max` and meet at
-//!   one sense-reversing gate, instead of a slot array, a leader
-//!   reduction and two `std::sync::Barrier` waits.
-//!
-//! Worker threads are spawned once per job and live for all remaining
-//! iterations; a panicking worker poisons the gate so its peers drain out
-//! instead of deadlocking, and the panic resumes on the caller after every
-//! permit has been returned.
+//! [`run_job`] steps the nodes one after another on the calling thread.
+//! The paper's jobs have 4 to 16 nodes and a node's iteration costs
+//! microseconds of archsim work: stepping nodes on threads between
+//! barriers paid on no measured workload (DESIGN.md §11), and the
+//! experiment engine already keeps the cores busy with whole jobs.
 
-use crate::breakeven::{self, Calibration, Decision};
 use crate::intercept::NodeRuntime;
-use crate::job::IterationSpec;
 use crate::job::JobSpec;
-use crate::permits::{self, PermitGuard};
-use ear_archsim::{Cluster, CounterSnapshot, Node, PhaseDemand, SimTime};
-use std::any::Any;
-use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
-use std::time::Instant;
-
-/// Iterations the autotuner steps serially (and times) before committing
-/// to a worker count for the remainder of the job.
-const TUNE_ITERS: usize = 2;
-
-/// Fraction of the serial per-iteration cost the best parallel plan must
-/// beat for the job to fan out: a dead heat stays serial, because the
-/// engine's other workers want the cores more than a 2% win does.
-const TUNE_MARGIN: f64 = 0.9;
+use ear_archsim::{Cluster, CounterSnapshot, PhaseDemand};
 
 /// Per-node summary of a finished job.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -184,24 +144,6 @@ fn priced_demands(cluster: &Cluster, job: &JobSpec) -> Vec<Option<PhaseDemand>> 
         .collect()
 }
 
-/// One node's share of one bulk-synchronous iteration: the PMPI stream
-/// (EARL coordinates per node through its master rank, so the runtime
-/// receives one event stream per node), the priced work phase, and the
-/// timer tick.
-#[inline]
-fn step_node<R: NodeRuntime>(
-    node: &mut Node,
-    rt: &mut R,
-    iter: &IterationSpec,
-    demand: &PhaseDemand,
-) {
-    for ev in &iter.events {
-        rt.on_mpi_call(node, ev);
-    }
-    node.run_phase(demand);
-    rt.on_tick(node);
-}
-
 /// Builds the per-node reports from the start-of-job snapshots.
 fn build_report(cluster: &Cluster, job: &JobSpec, starts: &[CounterSnapshot]) -> JobReport {
     let mut nodes = Vec::with_capacity(cluster.len());
@@ -234,81 +176,18 @@ fn build_report(cluster: &Cluster, job: &JobSpec, starts: &[CounterSnapshot]) ->
     }
 }
 
-/// Runs `job` on `cluster` with one runtime per node, fanning the nodes
-/// out across spare threads from the shared permit pool when that is
-/// measured to pay (see [`crate::permits`] and [`crate::breakeven`]). The
-/// report is bit-identical to [`run_job_serial`] at any thread count, any
-/// break-even threshold and any autotuning outcome.
+/// Runs `job` on `cluster` with one runtime per node. Per iteration,
+/// every node runs its PMPI events, work phase and tick in node order,
+/// then the stragglers idle up to the slowest node's clock.
 ///
 /// Panics if the job is invalid or the runtime/node counts disagree —
 /// those are harness bugs, not recoverable conditions.
-pub fn run_job<R: NodeRuntime + Send>(
+pub fn run_job<R: NodeRuntime>(
     cluster: &mut Cluster,
     job: &JobSpec,
     runtimes: &mut [R],
 ) -> JobReport {
     check_job(cluster, job, runtimes);
-    if job.nodes < 2 {
-        return drive_serial(cluster, job, runtimes);
-    }
-    // The RAII guard gives the permits back even when a node panics inside
-    // the parallel driver and the unwind crosses this frame. Acquisition
-    // happens before the gate so an exhausted pool (a saturated engine
-    // campaign) degrades to serial without ever touching the calibration.
-    let mut held = permits::acquire_guard(job.nodes - 1);
-    if held.count() == 0 {
-        return drive_serial(cluster, job, runtimes);
-    }
-    match breakeven::decision(job.nodes) {
-        Decision::Serial => {
-            // Below break-even: the permits go back *now*, not when the
-            // job ends — the engine's other workers can use them.
-            drop(held);
-            drive_serial(cluster, job, runtimes)
-        }
-        Decision::Forced => drive_adaptive(cluster, job, runtimes, &mut held, false),
-        Decision::Tuned => drive_adaptive(cluster, job, runtimes, &mut held, true),
-    }
-}
-
-/// Runs `job` strictly serially on the calling thread, never touching the
-/// permit pool. The executable specification for [`run_job`]'s determinism
-/// guarantee (the parallel path must match this bit for bit) and the entry
-/// point for runtimes that are not [`Send`].
-pub fn run_job_serial<R: NodeRuntime>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-) -> JobReport {
-    check_job(cluster, job, runtimes);
-    drive_serial(cluster, job, runtimes)
-}
-
-/// One serial bulk-synchronous iteration: step every node, then fill the
-/// stragglers' gap to the horizon. Shared by `drive_serial` and the
-/// autotuner's timed warm-up so both paths are the same code.
-fn step_iteration_serial<R: NodeRuntime>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-    priced: &[Option<PhaseDemand>],
-    i: usize,
-) {
-    let iter = &job.iterations[i];
-    let demand = priced[i].as_ref().unwrap_or(&iter.demand);
-    for (n, rt) in runtimes.iter_mut().enumerate() {
-        step_node(cluster.node_mut(n), rt, iter, demand);
-    }
-    // Bulk-synchronous step: everyone waits for the slowest node.
-    let horizon = cluster.horizon();
-    cluster.synchronise_to(horizon);
-}
-
-fn drive_serial<R: NodeRuntime>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-) -> JobReport {
     let starts: Vec<_> = (0..cluster.len())
         .map(|i| cluster.node(i).snapshot())
         .collect();
@@ -318,321 +197,30 @@ fn drive_serial<R: NodeRuntime>(
     }
 
     let priced = priced_demands(cluster, job);
-    for i in 0..job.iterations.len() {
-        step_iteration_serial(cluster, job, runtimes, &priced, i);
-    }
-
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        rt.on_job_end(cluster.node_mut(i));
-    }
-
-    build_report(cluster, job, &starts)
-}
-
-/// The per-iteration rendezvous of the persistent worker set.
-///
-/// Workers publish their chunk horizon into one monotone `AtomicU64` with
-/// `fetch_max` (exact `u64` microseconds: order-independent, and — because
-/// simulated time never goes backwards — never in need of a reset), then
-/// meet at a sense-reversing gate. The last worker to arrive snapshots the
-/// global maximum and flips the generation; everyone else spins briefly,
-/// then yields, until the flip. One atomic max plus one rendezvous per
-/// iteration, against the slot array, leader reduction and two
-/// mutex/condvar barrier waits it replaces.
-///
-/// A panicking worker [`poison`](Self::poison)s the gate; spinners and
-/// late arrivers observe the flag and drain out instead of waiting for a
-/// peer that will never come.
-pub(crate) struct HorizonGate {
-    workers: usize,
-    arrived: AtomicUsize,
-    generation: AtomicU64,
-    horizon: AtomicU64,
-    snapshot: AtomicU64,
-    poisoned: AtomicBool,
-}
-
-impl HorizonGate {
-    pub(crate) fn new(workers: usize) -> Self {
-        Self {
-            workers,
-            arrived: AtomicUsize::new(0),
-            generation: AtomicU64::new(0),
-            horizon: AtomicU64::new(0),
-            snapshot: AtomicU64::new(0),
-            poisoned: AtomicBool::new(false),
-        }
-    }
-
-    /// Marks the gate dead; every current and future [`arrive`](Self::arrive)
-    /// returns `None`.
-    pub(crate) fn poison(&self) {
-        self.poisoned.store(true, Ordering::SeqCst);
-    }
-
-    /// Publishes this worker's `local` horizon and waits for the round to
-    /// close. Returns the global horizon of the round, or `None` if the
-    /// gate was poisoned.
-    pub(crate) fn arrive(&self, local: u64) -> Option<u64> {
-        self.horizon.fetch_max(local, Ordering::AcqRel);
-        let generation = self.generation.load(Ordering::Acquire);
-        if self.arrived.fetch_add(1, Ordering::AcqRel) + 1 == self.workers {
-            // Round complete: snapshot the max for this generation before
-            // the flip makes it visible, reset the arrival count for the
-            // next round, then flip. The Release store of `generation`
-            // publishes the snapshot to every Acquire spinner below.
-            let horizon = self.horizon.load(Ordering::Acquire);
-            self.snapshot.store(horizon, Ordering::Release);
-            self.arrived.store(0, Ordering::Release);
-            self.generation.store(generation + 1, Ordering::Release);
-            if self.poisoned.load(Ordering::SeqCst) {
-                return None;
-            }
-            Some(horizon)
-        } else {
-            let mut spins: u32 = 0;
-            while self.generation.load(Ordering::Acquire) == generation {
-                if self.poisoned.load(Ordering::Relaxed) {
-                    return None;
-                }
-                spins = spins.saturating_add(1);
-                if spins < 64 {
-                    std::hint::spin_loop();
-                } else {
-                    // Oversubscribed (or single-core) machines: hand the
-                    // core to the worker we are waiting for.
-                    std::thread::yield_now();
-                }
-            }
-            Some(self.snapshot.load(Ordering::Acquire))
-        }
-    }
-}
-
-/// Picks the worker count for the rest of the job from the measured
-/// serial per-iteration cost and the calibrated synchronisation and spawn
-/// costs. Returns 1 when no parallel plan beats serial by [`TUNE_MARGIN`].
-fn choose_workers(
-    nodes: usize,
-    max_workers: usize,
-    remaining_iters: usize,
-    iter_secs: f64,
-    cal: &Calibration,
-) -> usize {
-    let per_node = iter_secs / nodes as f64;
-    let serial_cost = iter_secs;
-    let mut best_w = 1;
-    let mut best_cost = f64::INFINITY;
-    for w in 2..=max_workers.min(nodes) {
-        let chunk = nodes.div_ceil(w);
-        // Per-iteration cost of this plan: the widest chunk's work, one
-        // rendezvous, and the spawn cost amortised over the remaining
-        // iterations.
-        let cost = chunk as f64 * per_node
-            + cal.sync_ns * 1e-9
-            + cal.spawn_ns * 1e-9 * (w as f64 - 1.0) / remaining_iters as f64;
-        if cost < best_cost {
-            best_cost = cost;
-            best_w = w;
-        }
-    }
-    if best_cost < serial_cost * TUNE_MARGIN {
-        best_w
-    } else {
-        1
-    }
-}
-
-/// The adaptive parallel driver behind [`run_job`]. With `tune` set, the
-/// first [`TUNE_ITERS`] iterations run serially under a timer and the
-/// measured cost picks the worker count — possibly 1, in which case every
-/// permit goes back and the job finishes on the calling thread. Without
-/// `tune` (threshold 0: tests, CI) the fan-out is as wide as the held
-/// permits allow.
-fn drive_adaptive<R: NodeRuntime + Send>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-    held: &mut PermitGuard,
-    tune: bool,
-) -> JobReport {
-    let starts: Vec<_> = (0..cluster.len())
-        .map(|i| cluster.node(i).snapshot())
-        .collect();
-
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        rt.on_job_start(cluster.node_mut(i), &job.name, job.ranks_per_node);
-    }
-
-    let priced = priced_demands(cluster, job);
-    let total = job.iterations.len();
-    let mut done = 0;
-    let mut workers_target = (held.count() + 1).min(job.nodes);
-
-    if tune {
-        let mut iter_secs = f64::INFINITY;
-        while done < total.min(TUNE_ITERS) {
-            let t0 = Instant::now();
-            step_iteration_serial(cluster, job, runtimes, &priced, done);
-            iter_secs = iter_secs.min(t0.elapsed().as_secs_f64());
-            done += 1;
-        }
-        let remaining = total - done;
-        workers_target = if remaining == 0 {
-            1
-        } else {
-            choose_workers(
-                job.nodes,
-                workers_target,
-                remaining,
-                iter_secs,
-                breakeven::calibration(),
-            )
-        };
-    }
-
-    if workers_target <= 1 {
-        // The measurement says parallelism does not pay here: give every
-        // permit back for the rest of the job and finish serially.
-        held.shrink_to(0);
-        while done < total {
-            step_iteration_serial(cluster, job, runtimes, &priced, done);
-            done += 1;
-        }
-    } else {
-        run_span_parallel(cluster, job, runtimes, &priced, done, workers_target, held);
-    }
-
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        rt.on_job_end(cluster.node_mut(i));
-    }
-
-    build_report(cluster, job, &starts)
-}
-
-/// Steps iterations `[start_iter, end)` with a persistent worker set of at
-/// most `workers_target` workers. The calling thread is worker 0; the
-/// others are spawned once and live until the job ends (or the gate is
-/// poisoned). Surplus permits — chunking can yield fewer chunks than the
-/// target, and the caller needs no permit — go back to the pool before the
-/// first spawn.
-fn run_span_parallel<R: NodeRuntime + Send>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-    priced: &[Option<PhaseDemand>],
-    start_iter: usize,
-    workers_target: usize,
-    held: &mut PermitGuard,
-) {
-    let nodes = cluster.nodes_mut_slice();
-    let chunk = nodes.len().div_ceil(workers_target.max(1));
-    let mut node_chunks: Vec<&mut [Node]> = nodes.chunks_mut(chunk).collect();
-    let mut rt_chunks: Vec<&mut [R]> = runtimes.chunks_mut(chunk).collect();
-    let workers = node_chunks.len();
-    held.shrink_to(workers.saturating_sub(1));
-
-    let gate = HorizonGate::new(workers);
-    // First panic wins; the caller re-raises it after the scope has
-    // joined every worker and the permits are back.
-    let first_panic: Mutex<Option<Box<dyn Any + Send>>> = Mutex::new(None);
-    let capture = |payload: Box<dyn Any + Send>| {
-        gate.poison();
-        let mut slot = first_panic.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_none() {
-            *slot = Some(payload);
-        }
-    };
-
-    let own_nodes = node_chunks.remove(0);
-    let own_rts = rt_chunks.remove(0);
-    std::thread::scope(|scope| {
-        for (node_chunk, rt_chunk) in node_chunks.into_iter().zip(rt_chunks) {
-            let gate = &gate;
-            let capture = &capture;
-            scope.spawn(move || {
-                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-                    step_chunk(job, priced, start_iter, node_chunk, rt_chunk, gate);
-                }));
-                if let Err(payload) = result {
-                    capture(payload);
-                }
-            });
-        }
-        let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            step_chunk(job, priced, start_iter, own_nodes, own_rts, &gate);
-        }));
-        if let Err(payload) = result {
-            capture(payload);
-        }
-    });
-
-    let payload = first_panic
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .take();
-    if let Some(payload) = payload {
-        std::panic::resume_unwind(payload);
-    }
-}
-
-/// Runs the whole job with a fixed worker count: no permits, no gating,
-/// no tuning. The break-even calibration probes race this against
-/// [`drive_serial`]; it is also the reference shape for tests that need
-/// the parallel machinery regardless of what any measurement says.
-pub(crate) fn drive_parallel_fixed<R: NodeRuntime + Send>(
-    cluster: &mut Cluster,
-    job: &JobSpec,
-    runtimes: &mut [R],
-    workers: usize,
-) -> JobReport {
-    check_job(cluster, job, runtimes);
-    let starts: Vec<_> = (0..cluster.len())
-        .map(|i| cluster.node(i).snapshot())
-        .collect();
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        rt.on_job_start(cluster.node_mut(i), &job.name, job.ranks_per_node);
-    }
-    let priced = priced_demands(cluster, job);
-    let mut no_permits = permits::acquire_guard(0);
-    run_span_parallel(cluster, job, runtimes, &priced, 0, workers, &mut no_permits);
-    for (i, rt) in runtimes.iter_mut().enumerate() {
-        rt.on_job_end(cluster.node_mut(i));
-    }
-    build_report(cluster, job, &starts)
-}
-
-/// One worker's loop over its disjoint chunk of (node, runtime) pairs for
-/// iterations `[start_iter, end)`. Per iteration: step the chunk, publish
-/// its horizon, meet the gate once, idle-fill to the global horizon. A
-/// `None` from the gate means a peer panicked — drain out; the chunk's
-/// nodes are left mid-job, but the job is already doomed and the caller
-/// re-raises the peer's panic.
-fn step_chunk<R: NodeRuntime>(
-    job: &JobSpec,
-    priced: &[Option<PhaseDemand>],
-    start_iter: usize,
-    nodes: &mut [Node],
-    rts: &mut [R],
-    gate: &HorizonGate,
-) {
-    for (iter, priced_demand) in job.iterations.iter().zip(priced).skip(start_iter) {
+    for (iter, priced_demand) in job.iterations.iter().zip(&priced) {
         let demand = priced_demand.as_ref().unwrap_or(&iter.demand);
-        for (node, rt) in nodes.iter_mut().zip(rts.iter_mut()) {
-            step_node(node, rt, iter, demand);
-        }
-        let local = nodes.iter().map(|n| n.now().as_micros()).max().unwrap_or(0);
-        let Some(horizon) = gate.arrive(local) else {
-            return;
-        };
-        let t = SimTime(horizon);
-        for node in nodes.iter_mut() {
-            let lag = t - node.now();
-            if lag > 0.0 {
-                node.run_idle(lag);
+        for (n, rt) in runtimes.iter_mut().enumerate() {
+            // One node's share of the iteration: the PMPI stream (EARL
+            // coordinates per node through its master rank, so the runtime
+            // receives one event stream per node), the priced work phase,
+            // and the timer tick.
+            let node = cluster.node_mut(n);
+            for ev in &iter.events {
+                rt.on_mpi_call(node, ev);
             }
+            node.run_phase(demand);
+            rt.on_tick(node);
         }
+        // Bulk-synchronous step: everyone waits for the slowest node.
+        let horizon = cluster.horizon();
+        cluster.synchronise_to(horizon);
     }
+
+    for (i, rt) in runtimes.iter_mut().enumerate() {
+        rt.on_job_end(cluster.node_mut(i));
+    }
+
+    build_report(cluster, job, &starts)
 }
 
 #[cfg(test)]
@@ -640,7 +228,8 @@ mod tests {
     use super::*;
     use crate::call::{MpiCall, MpiEvent};
     use crate::intercept::{NullRuntime, RecordingRuntime};
-    use ear_archsim::NodeConfig;
+    use crate::job::IterationSpec;
+    use ear_archsim::{Node, NodeConfig};
 
     fn small_job(iters: usize) -> JobSpec {
         JobSpec::homogeneous(
@@ -668,6 +257,49 @@ mod tests {
         vec![NullRuntime; n]
     }
 
+    /// A load-imbalance job: iterations alternate between a heavy compute
+    /// phase, a memory-bound phase and a near-empty phase, with fabric
+    /// communication priced on every other iteration, so the nodes reach
+    /// each barrier at very different times.
+    fn straggler_job(nodes: usize, iterations: usize) -> JobSpec {
+        use crate::job::CommSpec;
+        let events = vec![
+            MpiEvent::new(MpiCall::Isend, 1 << 20, 1),
+            MpiEvent::new(MpiCall::Irecv, 1 << 20, 1),
+            MpiEvent::new(MpiCall::Wait, 0, 0),
+            MpiEvent::collective(MpiCall::Alltoall, 4096),
+        ];
+        let iterations = (0..iterations)
+            .map(|i| {
+                let (instructions, mem_bytes, active_cores, wait_seconds) = match i % 3 {
+                    0 => (3e10, 1e9, 32, 0.0),
+                    1 => (2e9, 2e10, 32, 0.05),
+                    _ => (1e8, 1e7, 4, 0.0),
+                };
+                IterationSpec {
+                    events: events.clone(),
+                    demand: PhaseDemand {
+                        instructions,
+                        mem_bytes,
+                        active_cores,
+                        wait_seconds,
+                        ..Default::default()
+                    },
+                    comm: (i % 2 == 0).then(|| CommSpec {
+                        collectives: vec![(MpiCall::Alltoall, 2 << 20)],
+                        p2p_bytes: vec![1 << 18; 6],
+                    }),
+                }
+            })
+            .collect();
+        JobSpec {
+            name: "straggler".to_string(),
+            nodes,
+            ranks_per_node: 40,
+            iterations,
+        }
+    }
+
     #[test]
     fn job_runs_and_reports() {
         let mut cluster = Cluster::new(NodeConfig::sd530_6148(), 2, 42);
@@ -678,10 +310,37 @@ mod tests {
         assert!(report.seconds() > 1.0);
         assert!(report.total_dc_energy_j() > 100.0);
         assert!(report.avg_dc_power_w() > 200.0);
-        // Nodes end synchronised.
-        let t0 = report.nodes[0].seconds;
-        let t1 = report.nodes[1].seconds;
-        assert!((t0 - t1).abs() < 1e-6, "{t0} vs {t1}");
+
+        // Every node ends on the same microsecond: on the homogeneous
+        // run above, under stragglers, and on mixed hardware, where the
+        // same demand takes different time on the two node types.
+        let mixed = || {
+            Cluster::from_nodes(vec![
+                Node::new(NodeConfig::sd530_6148(), 11),
+                Node::new(NodeConfig::gpu_node_6142m(), 12),
+                Node::new(NodeConfig::sd530_6148(), 13),
+                Node::new(NodeConfig::gpu_node_6142m(), 14),
+            ])
+        };
+        let straggler = straggler_job(4, 18);
+        let runs = [
+            (cluster, job),
+            (
+                Cluster::new(NodeConfig::sd530_6148(), 4, 77),
+                straggler.clone(),
+            ),
+            (mixed(), straggler),
+        ];
+        for (mut cluster, job) in runs {
+            let mut rts = null_runtimes(job.nodes);
+            let report = run_job(&mut cluster, &job, &mut rts);
+            let end = cluster.node(0).now();
+            assert!(end > ear_archsim::SimTime::ZERO);
+            for (i, node) in report.nodes.iter().enumerate() {
+                assert_eq!(cluster.node(i).now(), end, "{}: node {i}", job.name);
+                assert_eq!(node.seconds.to_bits(), report.nodes[0].seconds.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -15,13 +15,10 @@ pub mod call;
 pub mod driver;
 pub mod intercept;
 pub mod job;
-pub mod permits;
 pub mod trace;
 
-pub use breakeven::Calibration;
 pub use call::{MpiCall, MpiEvent};
-pub use driver::{run_job, run_job_serial, JobReport, NodeReport};
+pub use driver::{run_job, JobReport, NodeReport};
 pub use intercept::{NodeRuntime, NullRuntime, RecordingRuntime};
 pub use job::{CommSpec, IterationSpec, JobSpec};
-pub use permits::PermitGuard;
 pub use trace::{Trace, TraceRecord, TracingRuntime};

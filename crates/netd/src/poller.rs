@@ -5,11 +5,9 @@
 //! asks every daemon for its [`GmReport`], redistributes the cluster
 //! budget over the reported demand with the same
 //! [`ear_core::powercap::distribute_budget`] the aggregation tree and the
-//! job stream's rebalance use, and pushes one [`GmCommand`] per node. Fan-out concurrency is governed
-//! by the process-global permit pool (`ear_mpisim::permits`) through the
-//! RAII [`PermitGuard`](ear_mpisim::PermitGuard), so a poller sharing a
-//! process with the experiment engine cannot oversubscribe the machine —
-//! and a panicking lane still returns its permits.
+//! job stream's rebalance use, and pushes one [`GmCommand`] per node.
+//! The fan-out uses one lane per available core, at most one per daemon:
+//! the rule the cluster scenario uses for its shards.
 
 use crate::client::{ClientConfig, NetClient};
 use crate::codec::WireMsg;
@@ -17,7 +15,6 @@ use crate::conn::Endpoint;
 use ear_core::powercap::distribute_budget;
 use ear_core::protocol::{GmCommand, GmReport};
 use ear_errors::{EarError, EarResult};
-use ear_mpisim::permits;
 
 /// One completed poll round.
 #[derive(Debug, Clone)]
@@ -26,7 +23,8 @@ pub struct PollRound {
     pub reports: Vec<GmReport>,
     /// Cap commands pushed (same order).
     pub commands: Vec<GmCommand>,
-    /// Concurrent lanes the fan-out actually used (permit-governed).
+    /// Concurrent lanes the fan-out used: the available cores, at most
+    /// one per daemon.
     pub lanes: usize,
 }
 
@@ -136,10 +134,9 @@ impl EargmPoller {
         if n == 0 {
             return Err(EarError::Protocol("poller manages no daemons".to_string()));
         }
-        // Permits bound the *extra* lanes; one lane is always ours. The
-        // guard releases on every exit path, including panics in a lane.
-        let held = permits::acquire_guard(n.saturating_sub(1));
-        let lanes = (held.count() + 1).min(n);
+        let lanes = std::thread::available_parallelism()
+            .map_or(1, std::num::NonZeroUsize::get)
+            .min(n);
         let reports = fan_out(&mut self.clients, lanes, |i, client| {
             match client.request_with_retry(&WireMsg::PollPower { node: i as u64 })? {
                 WireMsg::Report(r) => Ok(r),
@@ -178,7 +175,6 @@ impl EargmPoller {
                 ))),
             }
         })?;
-        drop(held);
         self.rounds += 1;
         Ok(PollRound {
             reports,

@@ -31,12 +31,6 @@
 //! Intel model), and `--trace FILE` enables the structured trace bus and
 //! writes the recorded event stream as JSONL when the command finishes.
 //!
-//! `--mpi-break-even N` pins the node count below which the MPI job
-//! driver steps nodes serially instead of fanning out (`0` forces the
-//! parallel path everywhere). It outranks both the `EAR_MPI_BREAK_EVEN`
-//! environment variable and the persisted machine calibration the driver
-//! measures otherwise.
-//!
 //! Results are also cached persistently: every (workload, configuration,
 //! seed) cell's averaged result lands in `target/earsim-cache/` keyed by
 //! a content digest, so repeated invocations are served from disk with
@@ -102,34 +96,26 @@ fn usage() -> ! {
          \x20                it to F as JSONL on exit.\n\
          \x20      --no-cache   disable the persistent result cache\n\
          \x20                (default store: target/earsim-cache, or\n\
-         \x20                $EAR_CACHE_DIR; EAR_CACHE=0 also disables).\n\
-         \x20      --mpi-break-even N\n\
-         \x20                node count below which the MPI job driver\n\
-         \x20                stays serial (0 = always fan out; default: a\n\
-         \x20                persisted machine calibration; the\n\
-         \x20                EAR_MPI_BREAK_EVEN env var works too)."
+         \x20                $EAR_CACHE_DIR; EAR_CACHE=0 also disables)."
     );
     exit(2)
 }
 
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// Parses the `--key value` pairs of `run` and `surface`. A key outside
+/// `accepted`, or a bare word, exits 2 instead of being ignored.
+fn parse_flags(cmd: &str, args: &[String], accepted: &[&str]) -> HashMap<String, String> {
     let mut flags = HashMap::new();
     let mut it = args.iter();
     while let Some(a) = it.next() {
-        if let Some(key) = a.strip_prefix("--") {
-            match it.next() {
-                Some(v) => {
-                    flags.insert(key.to_string(), v.clone());
-                }
-                None => {
-                    eprintln!("missing value for --{key}");
-                    usage();
-                }
-            }
-        } else {
-            eprintln!("unexpected argument '{a}'");
+        let Some(key) = a.strip_prefix("--").filter(|k| accepted.contains(k)) else {
+            eprintln!("unknown {cmd} argument '{a}'");
             usage();
-        }
+        };
+        let Some(v) = it.next() else {
+            eprintln!("missing value for --{key}");
+            usage();
+        };
+        flags.insert(key.to_string(), v.clone());
     }
     flags
 }
@@ -176,6 +162,11 @@ fn cmd_list() {
         );
     }
 }
+
+/// The flags `earsim run` accepts.
+const RUN_FLAGS: &[&str] = &[
+    "app", "policy", "cpu-th", "unc-th", "runs", "seed", "search", "range", "conf",
+];
 
 fn cmd_run(flags: HashMap<String, String>) -> Result<(), EarError> {
     let Some(app) = flags.get("app") else {
@@ -764,16 +755,28 @@ fn take_global(args: &mut Vec<String>, flag: &str) -> Option<String> {
 }
 
 fn real_main(args: Vec<String>) -> Result<(), EarError> {
-    match args.first().map(|s| s.as_str()) {
-        Some("list") => cmd_list(),
-        Some("run") => cmd_run(parse_flags(&args[1..]))?,
-        Some("sweep") => cmd_sweep(&args[1..])?,
-        Some("table") => cmd_table(args.get(1).map_or_else(|| usage(), |s| s.as_str()))?,
-        Some("fig") => cmd_fig(args.get(1).map_or_else(|| usage(), |s| s.as_str()))?,
-        Some("future") => print!("{}", ear::experiments::future_work::run_all_future_work()),
-        Some("related") => print!("{}", ear::experiments::related_work::duf_comparison()),
-        Some("surface") => {
-            let flags = parse_flags(&args[1..]);
+    let cmd = args.first().map_or("", String::as_str);
+    // Fixed-arity subcommands take no flags: anything past their operands
+    // is a typo, not something to ignore.
+    let operands = match cmd {
+        "table" | "fig" => Some(1),
+        "list" | "future" | "related" | "conf" | "all" | "powercap" => Some(0),
+        _ => None,
+    };
+    if let Some(extra) = operands.and_then(|n| args.get(n + 1)) {
+        eprintln!("unknown {cmd} argument '{extra}'");
+        usage();
+    }
+    match cmd {
+        "list" => cmd_list(),
+        "run" => cmd_run(parse_flags("run", &args[1..], RUN_FLAGS))?,
+        "sweep" => cmd_sweep(&args[1..])?,
+        "table" => cmd_table(args.get(1).map_or_else(|| usage(), |s| s.as_str()))?,
+        "fig" => cmd_fig(args.get(1).map_or_else(|| usage(), |s| s.as_str()))?,
+        "future" => print!("{}", ear::experiments::future_work::run_all_future_work()),
+        "related" => print!("{}", ear::experiments::related_work::duf_comparison()),
+        "surface" => {
+            let flags = parse_flags("surface", &args[1..], &["app"]);
             let app = flags
                 .get("app")
                 .cloned()
@@ -784,14 +787,14 @@ fn real_main(args: Vec<String>) -> Result<(), EarError> {
             let s = ear::experiments::surface::measure_surface(&app, 77);
             print!("{}", ear::experiments::surface::render_surface(&s));
         }
-        Some("conf") => print!("{}", render_ear_conf(&EarlConfig::default())),
-        Some("all") => print!("{}", ear::experiments::run_all()),
-        Some("bench") => cmd_bench(&args[1..])?,
-        Some("serve") => cmd_serve(&args[1..])?,
-        Some("loadgen") => cmd_loadgen(&args[1..])?,
-        Some("cluster") => cmd_cluster(&args[1..])?,
-        Some("jobstream") => cmd_jobstream(&args[1..])?,
-        Some("powercap") => print!("{}", ear::experiments::run_powercap()),
+        "conf" => print!("{}", render_ear_conf(&EarlConfig::default())),
+        "all" => print!("{}", ear::experiments::run_all()),
+        "bench" => cmd_bench(&args[1..])?,
+        "serve" => cmd_serve(&args[1..])?,
+        "loadgen" => cmd_loadgen(&args[1..])?,
+        "cluster" => cmd_cluster(&args[1..])?,
+        "jobstream" => cmd_jobstream(&args[1..])?,
+        "powercap" => print!("{}", ear::experiments::run_powercap()),
         _ => usage(),
     }
     Ok(())
@@ -823,17 +826,6 @@ fn main() {
             }
         };
         ear::experiments::set_default_jobs(n);
-    }
-    if let Some(v) = take_global(&mut args, "--mpi-break-even") {
-        let n = match v.parse::<usize>() {
-            Ok(n) => n,
-            _ => {
-                eprintln!("--mpi-break-even expects a non-negative integer");
-                usage();
-            }
-        };
-        // Outranks both EAR_MPI_BREAK_EVEN and the persisted calibration.
-        ear::mpisim::breakeven::set_override(Some(n));
     }
     if let Some(model) = take_global(&mut args, "--model") {
         // Validate up front so a typo fails before hours of simulation.
